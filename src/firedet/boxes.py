@@ -40,7 +40,3 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     return iou_xyxy(a[:, None, :], b[None, :, :])
 
-
-def iou_cxcywh(a, b) -> float:
-    """IoU of two single center-format boxes."""
-    return float(iou_xyxy(cxcywh_to_xyxy(np.asarray(a)), cxcywh_to_xyxy(np.asarray(b))))

@@ -21,15 +21,13 @@ import numpy as np
 
 from . import checks
 from .fileio import (FileFormatError, format_detection, image_to_input, letterbox,
-                     load_config, read_detections, read_ground_truth, read_ppm,
-                     unletterbox_box)
+                     load_config, read_detections, read_ground_truth, read_ppm)
 from .metrics import DetRecord, map_range
-from .model import ConfigError, Model, ModelConfig, build, decode, nms
+from .model import ConfigError, Model, ModelConfig, build
 from .profiler import VARIANTS, ablation_report, profile, variant_config
 from .rng import Rng
 from .synth import generate_dataset
-from .tensor import from_array, no_grad
-from .train import TrainingDiverged, evaluate_model, load_dataset, train_toy
+from .train import TrainingDiverged, detect_batch, evaluate_model, load_dataset, train_toy
 from .weights import ArchiveError, load_weights, save_weights
 
 EXIT_OK = 0
@@ -53,16 +51,11 @@ def _load_model(args, config: ModelConfig) -> Model:
 
 def _infer_one(model: Model, config: ModelConfig, path: str,
                score_threshold: float | None) -> list[DetRecord]:
-    image = read_ppm(path)
-    boxed, info = letterbox(image, config.input_size)
-    x = from_array(np.asarray(image_to_input(boxed), dtype=np.float32))
-    with no_grad():
-        maps = model(x)
-    dets = nms(decode(maps, config, score_threshold=score_threshold),
-               config.nms_iou_threshold)
-    name = Path(path).name
-    return [DetRecord(name, d.class_id, d.score, unletterbox_box(d.box, info))
-            for d in dets]
+    boxed, info = letterbox(read_ppm(path), config.input_size)
+    # Cast here, so that the float64 planes are freed before the forward pass.
+    batch = image_to_input(boxed).astype(np.float32)
+    return detect_batch(model, config, batch, [Path(path).name],
+                        infos=[info], score_threshold=score_threshold)
 
 
 def cmd_infer(args) -> int:

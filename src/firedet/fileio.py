@@ -2,14 +2,15 @@
 JSON model configs, and letterbox geometry.
 
 PPM P6 keeps image I/O dependency-free and bit-exact.  Detections are one
-JSON object per line with fields ``image``, ``class_id``, ``score`` and
-``box`` ([cx, cy, w, h], normalized); ground-truth lines are identical minus
-``score``.
+JSON object per line with fields ``image``, ``class_id``, ``score`` (finite)
+and ``box`` ([cx, cy, w, h], normalized: each in [0, 1], w and h positive);
+ground-truth lines are identical minus ``score``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,7 +94,12 @@ def _parse_box(obj: dict, path: str | Path, lineno: int) -> tuple[float, float, 
     if (not isinstance(box, list) or len(box) != 4
             or not all(isinstance(v, (int, float)) for v in box)):
         raise FileFormatError(f"{path}:{lineno}: 'box' must be [cx, cy, w, h]")
-    return tuple(float(v) for v in box)
+    cx, cy, w, h = (float(v) for v in box)
+    # NaN fails every comparison, so this also rejects NaN and +-Infinity.
+    if not (all(0.0 <= v <= 1.0 for v in (cx, cy, w, h)) and w > 0.0 and h > 0.0):
+        raise FileFormatError(
+            f"{path}:{lineno}: 'box' values must lie in [0, 1] with w, h > 0, got {box}")
+    return cx, cy, w, h
 
 
 def _iter_jsonl(path: str | Path):
@@ -111,9 +117,11 @@ def _iter_jsonl(path: str | Path):
 
 
 def _require(obj: dict, key: str, kinds, path, lineno):
-    if key not in obj or not isinstance(obj[key], kinds) or isinstance(obj[key], bool):
+    value = obj.get(key)
+    if (not isinstance(value, kinds) or isinstance(value, bool)
+            or (isinstance(value, float) and not math.isfinite(value))):
         raise FileFormatError(f"{path}:{lineno}: missing or invalid '{key}'")
-    return obj[key]
+    return value
 
 
 def read_detections(path: str | Path) -> list[DetRecord]:
@@ -154,12 +162,6 @@ def format_ground_truth(rec: GtRecord) -> str:
         "class_id": rec.class_id,
         "box": [round(v, 6) for v in rec.box],
     }, separators=(", ", ": "))
-
-
-def write_detections(path: str | Path, records: list[DetRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(format_detection(rec) + "\n")
 
 
 def write_ground_truth(path: str | Path, records: list[GtRecord]) -> None:
@@ -240,15 +242,18 @@ def letterbox_box(box: tuple[float, float, float, float],
 def unletterbox_box(box: tuple[float, float, float, float],
                     info: LetterboxInfo) -> tuple[float, float, float, float]:
     """Map a normalized [cx, cy, w, h] box from letterboxed space back to the
-    source image's normalized coordinates, clamped to [0, 1]."""
+    source image's normalized coordinates.  The corners are clamped to [0, 1],
+    so a box lying wholly in the padding comes back with zero width or height."""
     cx, cy, w, h = box
-    px_cx = (cx * info.dst_size - info.pad_x) / info.scale
-    px_cy = (cy * info.dst_size - info.pad_y) / info.scale
-    px_w = w * info.dst_size / info.scale
-    px_h = h * info.dst_size / info.scale
-    clamp = lambda v: min(1.0, max(0.0, v))
-    return (clamp(px_cx / info.src_w), clamp(px_cy / info.src_h),
-            clamp(px_w / info.src_w), clamp(px_h / info.src_h))
+
+    def to_source(v: float, pad: int, size: int) -> float:
+        return min(1.0, max(0.0, (v * info.dst_size - pad) / info.scale / size))
+
+    x1 = to_source(cx - w / 2, info.pad_x, info.src_w)
+    y1 = to_source(cy - h / 2, info.pad_y, info.src_h)
+    x2 = to_source(cx + w / 2, info.pad_x, info.src_w)
+    y2 = to_source(cy + h / 2, info.pad_y, info.src_h)
+    return ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
 
 
 def image_to_input(image: np.ndarray) -> np.ndarray:

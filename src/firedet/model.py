@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng
-from .tensor import Tensor, slice4, softplus as t_softplus
+from .tensor import Tensor, _sigmoid_np, _softplus_np, slice4, softplus as t_softplus
 from .nn import Conv2d, Conv2dSpec, Module, ModuleList, concat_channels, upsample_nearest
 from .blocks import AirBlock, Cbs, CspBlock, DpdfBlock, Sppf
-from .boxes import cxcywh_to_xyxy, iou_matrix
+from .boxes import cxcywh_to_xyxy, iou_xyxy
 
 
 class ConfigError(ValueError):
@@ -261,15 +261,6 @@ def build(config: ModelConfig, rng: Rng) -> Model:
 # -- decoding -------------------------------------------------------------------------
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def _stable_softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def decode(maps: list[Tensor], config: ModelConfig, score_threshold: float | None = None,
            batch_index: int = 0) -> list[Detection]:
     """Raw maps for one image -> thresholded, clamped, normalized detections.
@@ -288,8 +279,8 @@ def decode(maps: list[Tensor], config: ModelConfig, score_threshold: float | Non
         gh, gw = arr.shape[1], arr.shape[2]
         px_w = gw * stride
         px_h = gh * stride
-        dist = stride * _stable_softplus(arr[:4])
-        scores = _stable_sigmoid(arr[4:])
+        dist = stride * _softplus_np(arr[:4])
+        scores = _sigmoid_np(arr[4:])
         jj, ii = np.meshgrid(np.arange(gw), np.arange(gh))
         cx_c = (jj + 0.5) * stride
         cy_c = (ii + 0.5) * stride
@@ -350,18 +341,24 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     input order); one is kept iff its IoU with every already-kept detection
     of the same class is strictly below the threshold.  Output order is keep
     order, so scores are non-increasing within each class.
+
+    Cost: one sort, then one vector pass per kept box over its class's
+    surviving candidates; memory is O(n), no n x n IoU matrix is formed.
+    :func:`boxes.iou_xyxy` is bitwise symmetric, so the keep set equals that
+    of testing each candidate against the kept boxes one at a time.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].class_id, i))
-    kept: list[Detection] = []
-    kept_corners: dict[int, list[np.ndarray]] = {}
-    for idx in order:
-        d = dets[idx]
-        corners = cxcywh_to_xyxy(np.asarray(d.box))
-        same_class = kept_corners.get(d.class_id)
-        if same_class:
-            ious = iou_matrix(corners, np.stack(same_class))[0]
-            if float(ious.max()) >= iou_threshold:
-                continue
-        kept.append(d)
-        kept_corners.setdefault(d.class_id, []).append(corners)
-    return kept
+    if not dets:
+        return []
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    classes = np.array([d.class_id for d in dets], dtype=np.int64)
+    corners = cxcywh_to_xyxy(np.array([d.box for d in dets], dtype=np.float64))
+    order = np.lexsort((np.arange(len(dets)), classes, -scores))
+    keep = np.zeros(len(dets), dtype=bool)
+    for cls in {d.class_id for d in dets}:  # not np.unique: it imports numpy.ma
+        alive = order[classes[order] == cls]
+        xy = corners[alive]
+        while alive.size:
+            keep[alive[0]] = True
+            survive = ~(iou_xyxy(xy[0], xy[1:]) >= iou_threshold)
+            alive, xy = alive[1:][survive], xy[1:][survive]
+    return [dets[i] for i in order if keep[i]]

@@ -18,6 +18,7 @@ library to float64 for high-precision gradient verification.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -26,7 +27,8 @@ import numpy as np
 from .rng import Rng
 
 _default_dtype = np.float32
-_grad_enabled = True
+# Per thread, so that one thread's no_grad cannot leak into another's forward.
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 def set_default_dtype(dtype) -> None:
@@ -55,19 +57,17 @@ def using_dtype(dtype):
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Context manager that disables graph construction in the calling thread."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def _check_rank4(arr: np.ndarray, what: str) -> None:
@@ -194,7 +194,7 @@ def make_node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.nda
     ``bwd`` receives the output gradient and must route contributions to the
     parents via :meth:`Tensor.accumulate_grad`.
     """
-    req = _grad_enabled and any(p.requires_grad for p in parents)
+    req = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
     if req:
         out._parents = tuple(parents)

@@ -144,8 +144,9 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
                  score_threshold: float | None = None) -> list[DetRecord]:
     """Eval-mode forward + decode + per-image NMS over a stacked batch.
 
-    When ``infos`` is given, boxes are mapped back into each source image's
-    normalized coordinates."""
+    The one inference path (``firedet infer`` too).  When ``infos`` is given,
+    boxes are mapped back into each source image's normalized coordinates, and
+    those lying wholly in the letterbox padding (zero width or height) dropped."""
     with no_grad():
         maps = model(from_array(np.asarray(batch, dtype=np.float32)))
     records = []
@@ -155,7 +156,8 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
                    config.nms_iou_threshold)
         for d in dets:
             box = d.box if infos is None else unletterbox_box(d.box, infos[bi])
-            records.append(DetRecord(name, d.class_id, d.score, box))
+            if box[2] > 0.0 and box[3] > 0.0:
+                records.append(DetRecord(name, d.class_id, d.score, box))
     return records
 
 

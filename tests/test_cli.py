@@ -61,6 +61,17 @@ def test_letterbox_box_round_trip():
         assert np.allclose(back, box, atol=1e-12)
 
 
+def test_unletterbox_clamps_corners_not_centre_and_size():
+    _, info = letterbox(np.zeros((32, 64, 3), dtype=np.uint8), 64)  # pad_y = 16
+    cx, cy, w, h = unletterbox_box((0.5, 0.3, 0.2, 0.2), info)
+    # letterbox rows 12.8..25.6 px -> source rows 0 (clamped from -3.2)..9.6 of 32
+    assert (cx, w) == pytest.approx((0.5, 0.2), abs=1e-12)
+    assert (cy, h) == pytest.approx((0.15, 0.3), abs=1e-12)
+    assert cy - h / 2 >= 0.0
+    # wholly inside the top padding (letterbox rows 3.2..9.6 px)
+    assert unletterbox_box((0.5, 0.1, 0.2, 0.1), info)[3] == 0.0
+
+
 def test_image_to_input_layout_and_range():
     image = np.zeros((4, 6, 3), dtype=np.uint8)
     image[1, 2] = (255, 0, 128)
@@ -181,6 +192,52 @@ def test_eval_perfect_match_and_zero_gt_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning" in captured.err
     assert "mAP50=0.0000" in captured.out
+
+
+GOOD_DET = '{"image": "a.ppm", "class_id": 0, "score": 0.9, "box": [0.5, 0.5, 0.2, 0.2]}'
+GOOD_GT = '{"image": "a.ppm", "class_id": 0, "box": [0.5, 0.5, 0.2, 0.2]}'
+
+
+@pytest.mark.parametrize("which", ["dets", "gts"])
+@pytest.mark.parametrize("bad", [
+    '"box": [0.5, 0.5, Infinity, -0.1]',
+    '"box": [0.5, NaN, 0.2, 0.2]',
+    '"box": [0.5, 0.5, 1e400, 0.2]',
+    '"box": [1.2, 0.5, 0.2, 0.2]',
+    '"box": [0.5, 0.5, 0.0, 0.2]',
+    '"box": [0.5, 0.5, 0.2, -0.2]',
+])
+def test_eval_rejects_non_finite_and_out_of_range_boxes(tmp_path, which, bad):
+    files = {"dets": GOOD_DET, "gts": GOOD_GT}
+    files[which] = files[which].replace('"box": [0.5, 0.5, 0.2, 0.2]', bad)
+    for name, line in files.items():
+        (tmp_path / f"{name}.jsonl").write_text(line + "\n")
+    assert main(["eval", "--dets", str(tmp_path / "dets.jsonl"),
+                 "--gts", str(tmp_path / "gts.jsonl")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
+def test_eval_rejects_non_finite_scores(tmp_path, score):
+    (tmp_path / "dets.jsonl").write_text(GOOD_DET.replace("0.9", score) + "\n")
+    (tmp_path / "gts.jsonl").write_text(GOOD_GT + "\n")
+    assert main(["eval", "--dets", str(tmp_path / "dets.jsonl"),
+                 "--gts", str(tmp_path / "gts.jsonl")]) == EXIT_IO
+
+
+def test_infer_output_on_non_square_image_is_accepted_by_eval(tmp_path, config_path):
+    image = tmp_path / "wide.ppm"
+    write_ppm(image, (np.arange(32 * 64 * 3) % 251).astype(np.uint8).reshape(32, 64, 3))
+    dets, gts = tmp_path / "dets.jsonl", tmp_path / "gts.jsonl"
+    assert main(["infer", str(image), "--config", config_path,
+                 "--score-threshold", "0.001", "--out", str(dets)]) == EXIT_OK
+    records = [json.loads(line) for line in dets.read_text().splitlines()]
+    assert records
+    for rec in records:
+        cx, cy, w, h = rec["box"]
+        assert w > 0 and h > 0
+        assert -1e-6 <= cy - h / 2 and cy + h / 2 <= 1 + 1e-6
+    gts.write_text(GOOD_GT.replace("a.ppm", "wide.ppm") + "\n")
+    assert main(["eval", "--dets", str(dets), "--gts", str(gts)]) == EXIT_OK
 
 
 def test_eval_missing_file_exits_io(tmp_path):

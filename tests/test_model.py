@@ -144,12 +144,28 @@ def random_dets(rng, n, num_classes=2):
     return dets
 
 
+def clustered_dets(rng, n, centres=4, num_classes=2):
+    """Boxes jittered around a few centres, so that most are suppressed."""
+    hubs = rng.uniform64(2 * centres, 0.3, 0.7).reshape(centres, 2)
+    dets = []
+    for k in range(n):
+        cx, cy = hubs[k % centres] + rng.uniform64(2, -0.03, 0.03)
+        w, h = rng.uniform64(2, 0.15, 0.25)
+        score = round(float(rng.uniform64(1)[0]), 2)  # coarse scores force ties
+        cls = int(rng.integers(1, 0, num_classes)[0])
+        dets.append(Detection(class_id=cls, score=score,
+                              box=(float(cx), float(cy), float(w), float(h))))
+    return dets
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_nms_matches_quadratic_reference_on_fuzz(seed):
     rng = Rng(seed)
-    dets = random_dets(rng, 200)
-    for thr in (0.3, 0.45, 0.6):
-        assert nms(dets, thr) == nms_ref(dets, thr)
+    scattered, clustered = random_dets(rng, 200), clustered_dets(rng, 500)
+    assert len(nms(clustered, 0.45)) < len(clustered) // 4
+    for dets in (scattered, clustered):
+        for thr in (0.0, 0.3, 0.45, 0.6, 1.0):
+            assert nms(dets, thr) == nms_ref(dets, thr)
 
 
 def test_nms_keeps_identical_boxes_of_different_classes():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -93,6 +95,34 @@ def test_no_grad_blocks_tape():
     with no_grad():
         y = p * p
     assert y._parents == () and not y.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # Overlapping no_grad blocks in several threads must each switch off and
+    # restore only their own thread's flag.
+    p = p4([2.0])
+    barrier = threading.Barrier(4, timeout=10)
+    taped = []
+
+    def work():
+        for _ in range(200):
+            with no_grad():
+                barrier.wait()
+            taped.append((p * p).requires_grad)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(taped) == 800 and all(taped)
+    assert (p * p).requires_grad
 
 
 def test_backward_frees_tape():
