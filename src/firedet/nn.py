@@ -7,14 +7,19 @@ over (N, C, 1, 1) vectors, inverted dropout, and the partial convolution that
 convolves only the first ``C/r`` channels.
 
 Convolution uses the cross-correlation convention (no kernel flip).  The
-forward pass is vectorized with a strided window view plus ``einsum``; the
-backward pass scatter-adds per kernel offset.  A MAC tally can be armed in
-the calling thread (see :func:`mac_counting`) to make conv/linear skip their
-arithmetic and record multiply-accumulate counts instead — the analytic cost
-model and the executable graph share one definition this way.  Like
-:func:`firedet.tensor.no_grad`, the tally and its current scope live in
-:mod:`contextvars`, so counting in one thread leaves other threads' convs
-computing.
+forward pass is one GEMM per group over an im2col copy of a strided window
+view, with the batch folded into the columns (Chellapilla, Puri & Simard
+2006); the backward pass contracts the window view with ``einsum`` and
+scatter-adds per kernel offset.  Pooling makes one strided-slice pass per
+window offset.  Training is sensitive to the last bit, so these kernels
+are pinned byte for byte to reference forms in the tests.
+
+A MAC tally can be armed in the calling thread (see :func:`mac_counting`)
+to make conv/linear skip their arithmetic and record multiply-accumulate
+counts instead — the analytic cost model and the executable graph share one
+definition this way.  Like :func:`firedet.tensor.no_grad`, the tally and
+its current scope live in :mod:`contextvars`, so counting in one thread
+leaves other threads' convs computing.
 """
 
 from __future__ import annotations
@@ -263,8 +268,12 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
     win = win[:, :, :ho, :wo]
     wing = win.reshape(n, g, cig, ho, wo, k, k)
     wg = weight.data.reshape(g, cog, cig, k, k)
-    out = np.einsum("ngihwkl,goikl->ngohw", wing, wg, optimize=True)
-    out = out.reshape(n, spec.out_channels, ho, wo)
+    # im2col with the batch folded into the columns: one GEMM per group.  The
+    # result is an (N, O, Ho, Wo) view of (O, N, Ho, Wo) memory, the layout
+    # einsum produced, so BatchNorm's reductions keep their summation order.
+    cols = wing.transpose(1, 2, 5, 6, 0, 3, 4).reshape(g, cig * k * k, n * ho * wo)
+    out = np.matmul(wg.reshape(g, cog, cig * k * k), cols)
+    out = out.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out = out + bias.data
 
@@ -375,15 +384,22 @@ class BatchNorm(Module):
 def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int = 0) -> Tensor:
     """Max or average pooling over square windows.
 
-    Max pooling routes each window's gradient to the first maximal element in
-    row-major window order; average pooling spreads ``1/k**2`` to every window
-    element.  Padding uses -inf for max and 0 for avg (the divisor stays
-    ``k**2``).
+    The forward pass makes one strided-slice pass per window offset, in
+    row-major window order: a running maximum for max, a running sum from +0
+    divided by ``k**2`` for avg.  Max pooling routes each window's gradient
+    to the first maximal element in row-major window order (the first NaN in
+    a window holding one), found again in the backward pass; average pooling
+    spreads ``1/k**2`` to every window element.  Padding uses -inf for max
+    and 0 for avg (the divisor stays ``k**2``) and may be at most ``k // 2``,
+    so every window overlaps the input.
     """
     if kind not in ("max", "avg"):
         raise ValueError(f"kind must be 'max' or 'avg', got {kind!r}")
     n, c, h, w = x.shape
     k, s, p = kernel, stride, padding
+    if k < 1 or s < 1 or not 0 <= p <= k // 2:
+        raise ValueError(f"need kernel >= 1, stride >= 1 and 0 <= padding <= kernel // 2, "
+                         f"got kernel={k}, stride={s}, padding={p}")
     if h + 2 * p < k or w + 2 * p < k:
         raise ValueError(f"input {h}x{w} smaller than kernel {k} (padding {p})")
 
@@ -395,16 +411,28 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
     hp, wp = h + 2 * p, w + 2 * p
     ho = (hp - k) // s + 1
     wo = (wp - k) // s + 1
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s][:, :, :ho, :wo]
-    flat = win.reshape(n, c, ho, wo, k * k)
+
+    def window(a: np.ndarray, j: int) -> np.ndarray:
+        """(N, C, Ho, Wo) view of element j (row-major) of every window of padded ``a``."""
+        ki, kj = divmod(j, k)
+        return a[:, :, ki: ki + s * ho: s, kj: kj + s * wo: s]
 
     if kind == "max":
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        out = window(xp, 0).copy()
+        for j in range(1, k * k):
+            # np.maximum returns its second operand on ties, so the earlier
+            # element's bits (e.g. -0.0 against +0.0) are kept.
+            np.maximum(window(xp, j), out, out=out)
 
         def bwd_max(grad: np.ndarray) -> None:
             if not x.requires_grad:
                 return
+            # First element equal to the maximum, or NaN when the maximum is NaN.
+            idx = np.full(out.shape, k * k - 1, dtype=np.intp)
+            for j in range(k * k - 2, -1, -1):
+                hit = window(xp, j) == out
+                hit |= np.isnan(window(xp, j))
+                np.copyto(idx, j, where=hit)
             gxp = np.zeros((n, c, hp, wp), dtype=x.data.dtype)
             ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=False)
             rows = hi * s + idx // k
@@ -414,16 +442,20 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
 
         return make_node(out, (x,), bwd_max)
 
-    out = flat.mean(axis=-1)
+    # Summed from +0 in order, as NumPy sums fewer than eight terms, so 2x2
+    # windows equal the mean of the flattened window bit for bit.
+    out = np.zeros((n, c, ho, wo), dtype=xp.dtype)
+    for j in range(k * k):
+        out += window(xp, j)
+    out /= k * k
 
     def bwd_avg(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         share = grad / (k * k)
         gxp = np.zeros((n, c, hp, wp), dtype=x.data.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                gxp[:, :, ki: ki + s * ho: s, kj: kj + s * wo: s] += share
+        for j in range(k * k):
+            window(gxp, j)[...] += share
         x.accumulate_grad(gxp[:, :, p: p + h, p: p + w] if p else gxp)
 
     return make_node(out, (x,), bwd_avg)

@@ -15,14 +15,21 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_CHUNK = 1 << 16  # elements mixed per pass: a draw holds its output and 512 KB of scratch
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to uint64 values."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer applied in place to a 1-D uint64 array; returns it."""
+    t = np.empty(min(z.size, _CHUNK), dtype=np.uint64)
+    for i in range(0, z.size, _CHUNK):
+        c = z[i: i + _CHUNK]
+        s = t[: c.size]
+        for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(c, np.uint64(shift), out=s)
+            c ^= s
+            if mult is not None:
+                c *= mult
+    return z
 
 
 class Rng:
@@ -39,24 +46,28 @@ class Rng:
 
     def next_u64(self) -> int:
         """Draw one 64-bit value."""
-        with np.errstate(over="ignore"):
-            self._state = self._state + _GOLDEN
-        return int(_mix(np.uint64(self._state)))
+        return int(self._block(1)[0])
 
     def _block(self, n: int) -> np.ndarray:
         """Draw n uint64 values as one vectorized block."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GOLDEN
+        z += self._state
         with np.errstate(over="ignore"):
-            idx = np.arange(1, n + 1, dtype=np.uint64)
-            out = _mix(self._state + idx * _GOLDEN)
             self._state = self._state + np.uint64(n) * _GOLDEN
-        return out
+        return _mix(z)
 
     def uniform64(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """n float64 draws uniform in [lo, hi), using the top 53 bits."""
         if lo > hi:
             raise ValueError(f"lo={lo} > hi={hi}")
-        u = (self._block(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return lo + (hi - lo) * u
+        z = self._block(n)
+        z >>= np.uint64(11)
+        u = z.view(np.float64)
+        np.multiply(z, 2.0 ** -53, out=u)  # converts in place
+        u *= hi - lo
+        u += lo
+        return u
 
     def integers(self, n: int, low: int, high: int) -> np.ndarray:
         """n int64 draws uniform in [low, high), by scaling uniform64."""

@@ -236,9 +236,19 @@ def kaiming_uniform(shape: tuple[int, int, int, int], rng: Rng, fan_in: int,
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Numerically stable logistic function of a float array.
+
+    With ``z = exp(-|x|)`` it is ``1 / (z + 1)`` for ``x >= 0`` and
+    ``z / (z + 1)`` otherwise, so ``exp`` never overflows; one division
+    serves both signs.
+    """
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    num = np.where(x >= 0, 1.0, z)
+    z += 1.0
+    num /= z
+    return num
 
 
 def _softplus_np(x: np.ndarray) -> np.ndarray:

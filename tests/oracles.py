@@ -8,6 +8,7 @@ library code is meaningful.  Keep these slow and obvious.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -62,6 +63,80 @@ def naive_pool2d(x: np.ndarray, kind: str, kernel: int = 2, stride: int = 2,
                         out[ni, ci, oi, oj] = win.max()
                     else:
                         out[ni, ci, oi, oj] = win.sum() / (kernel * kernel)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Bit-level references: conv2d, pool2d and the stable sigmoid in their most
+# direct vectorized forms (einsum, flattened-window argmax, both-branch
+# where), and SplitMix64 in Python integers.  Training is sensitive to the
+# last bit (Adam amplifies it), so the library must equal these byte for byte.
+
+def einsum_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+                  stride: int = 1, padding: int = 0, dilation: int = 1,
+                  groups: int = 1) -> np.ndarray:
+    """Strided window view contracted with ``einsum``; b has shape (1, O, 1, 1)."""
+    n, c, h, ww = x.shape
+    cout, cig, k, _ = w.shape
+    g, s, p, d = groups, stride, padding, dilation
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    eff = d * (k - 1) + 1
+    ho = (h + 2 * p - eff) // s + 1
+    wo = (ww + 2 * p - eff) // s + 1
+    win = sliding_window_view(xp, (eff, eff), axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
+    wing = win[:, :, :ho, :wo].reshape(n, g, cig, ho, wo, k, k)
+    wg = w.reshape(g, cout // g, cig, k, k)
+    out = np.einsum("ngihwkl,goikl->ngohw", wing, wg, optimize=True)
+    out = out.reshape(n, cout, ho, wo)
+    return out + b if b is not None else out
+
+
+def argmax_pool2d(x: np.ndarray, kind: str, kernel: int = 2, stride: int = 2,
+                  padding: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pool by flattening each window; for max also each window's argmax."""
+    n, c, h, w = x.shape
+    k, s, p = kernel, stride, padding
+    fill = -np.inf if kind == "max" else 0.0
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill) if p else x
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s][:, :, :ho, :wo]
+    flat = win.reshape(n, c, ho, wo, k * k)
+    if kind == "avg":
+        return flat.mean(axis=-1), None
+    idx = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
+
+def argmax_max_pool_grad(x: np.ndarray, grad: np.ndarray, kernel: int,
+                         stride: int, padding: int) -> np.ndarray:
+    """Input gradient of max pooling: each window's grad to its argmax."""
+    n, c, h, w = x.shape
+    k, s, p = kernel, stride, padding
+    _, idx = argmax_pool2d(x, "max", k, s, p)
+    ho, wo = idx.shape[2:]
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    ni, ci, hi, wi = np.indices((n, c, ho, wo))
+    np.add.at(gxp, (ni, ci, hi * s + idx // k, wi * s + idx % k), grad)
+    return gxp[:, :, p: p + h, p: p + w]
+
+
+def where_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Stable logistic function evaluating both branches."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def splitmix64_ref(seed: int, count: int) -> list[int]:
+    """SplitMix64 outputs in Python integers, one step at a time."""
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
     return out
 
 

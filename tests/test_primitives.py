@@ -204,6 +204,22 @@ def test_max_pool_tie_gradient_goes_to_first():
     assert x.grad.reshape(-1).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("kernel, stride, padding", [
+    (2, 2, 2),   # whole windows of padding: -inf (max) or 0 (avg)
+    (3, 1, 2),
+    (2, 0, 0),   # stride 0
+    (2, -1, 0),
+    (0, 1, 0),   # empty windows
+    (-1, 1, 0),
+    (3, 1, -1),  # negative padding
+])
+@pytest.mark.parametrize("kind", ["max", "avg"])
+def test_pool2d_rejects_bad_window_settings(kind, kernel, stride, padding):
+    x = from_array(np.ones((1, 1, 6, 6)))
+    with pytest.raises(ValueError, match="kernel"):
+        pool2d(x, kind, kernel, stride, padding)
+
+
 def test_upsample_nearest_replicates():
     x = from_array(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(1, 1, 2, 2))
     out = upsample_nearest(x)

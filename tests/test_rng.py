@@ -1,14 +1,27 @@
 import numpy as np
 
+from oracles import splitmix64_ref
+
 from firedet.rng import Rng
 
 
+def test_reference_matches_published_splitmix64_vectors():
+    assert splitmix64_ref(1234567, 3) == [6457827717110365317, 3203168211198807973,
+                                          9817491932198370423]
+
+
 def test_sequential_matches_block():
-    r1 = Rng(42)
-    seq = [r1.next_u64() for _ in range(257)]
-    r2 = Rng(42)
-    blk = list(r2._block(257))
-    assert seq == blk
+    for seed in (0, 42, 2**63 + 5, 2**64 - 1):
+        want = splitmix64_ref(seed, 257)
+        r1 = Rng(seed)
+        seq = [r1.next_u64() for _ in range(257)]
+        r2 = Rng(seed)
+        blk = list(r2._block(257))
+        assert seq == blk == want
+        bits = np.array(want, dtype=np.uint64) >> np.uint64(11)
+        assert Rng(seed).uniform64(257, -3.0, 5.0).tobytes() == (-3.0 + 8.0 * (bits * 2.0 ** -53)).tobytes()
+    long = (1 << 17) + 5  # spans several mixing passes
+    assert Rng(7)._block(long).tolist() == splitmix64_ref(7, long)
 
 
 def test_determinism_and_seed_sensitivity():
