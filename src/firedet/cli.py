@@ -153,6 +153,14 @@ def cmd_train_toy(args) -> int:
     return EXIT_OK
 
 
+def _threshold(text: str) -> float:
+    """argparse type of the threshold flags: a finite number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1], got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firedet",
@@ -171,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run detection on PPM images")
     p.add_argument("images", nargs="+", help="input images (binary PPM, P6)")
     p.add_argument("--config", required=True, help="model config JSON")
-    p.add_argument("--score-threshold", type=float, default=None,
+    p.add_argument("--score-threshold", type=_threshold, default=None,
                    help="override the config score threshold")
     p.add_argument("--out", help="detections JSONL (default stdout)")
     p.add_argument("--threads", type=int, default=1,
@@ -198,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--dets", required=True, help="detections JSONL")
     p.add_argument("--gts", required=True, help="ground-truth JSONL")
-    p.add_argument("--conf-threshold", type=float, default=0.25)
-    p.add_argument("--iou-threshold", type=float, default=0.5)
+    p.add_argument("--conf-threshold", type=_threshold, default=0.25)
+    p.add_argument("--iou-threshold", type=_threshold, default=0.5)
     common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -218,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--precision", choices=("f32", "f16"), default="f32",
                    help="weight archive precision")
-    p.add_argument("--score-threshold", type=float, default=0.001,
+    p.add_argument("--score-threshold", type=_threshold, default=0.001,
                    help="decode threshold for the post-training evaluation")
     p.add_argument("--out", required=True, help="output directory")
     common(p, weights=True)

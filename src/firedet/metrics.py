@@ -9,6 +9,14 @@ among all operating points whose recall is >= r, sampled at
 r = 0.00, 0.01, ..., 1.00, and the AP is their mean.  mAP50-95 averages AP
 over IoU thresholds 0.50:0.05:0.95; class scores are averaged over the
 classes that appear in the ground truth.
+
+Cost: a matching call computes one detection x ground-truth IoU matrix per
+(image, class) group and then does at most one vector scan of it per match,
+so a group with G ground truths costs at most G + 1 scans, however many
+detections it holds.  AP reads the 101 interpolated precisions off one
+reverse running maximum of the precision curve.  Neither changes the order
+or the tie rules above, and every IoU and precision has the bits of a
+per-detection evaluation.
 """
 
 from __future__ import annotations
@@ -54,37 +62,39 @@ class EvalResult:
 IOU_RANGE = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
-def _sorted_indices(dets: list[DetRecord]) -> list[int]:
-    """Descending score; ties keep input order (stable)."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-
-
 def _match_flags(dets: list[DetRecord], gts: list[GtRecord], iou_t: float) -> np.ndarray:
     """True-positive flag per detection, in descending-score order.
 
-    The caller receives flags aligned with ``_sorted_indices(dets)``.
-    Matching is greedy within each (image, class) group.
+    Ties in score keep input order.  Matching is greedy within each
+    (image, class) group.
     """
-    order = _sorted_indices(dets)
+    flags = np.zeros(len(dets), dtype=bool)
+    if not dets or not gts:
+        return flags
+    order = np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")
+    det_corners = cxcywh_to_xyxy(np.array([d.box for d in dets], dtype=np.float64))[order]
+    gt_corners = cxcywh_to_xyxy(np.array([g.box for g in gts], dtype=np.float64))
     gt_groups: dict[tuple[str, int], list[int]] = {}
     for gi, gt in enumerate(gts):
         gt_groups.setdefault((gt.image, gt.class_id), []).append(gi)
-    gt_corners = cxcywh_to_xyxy(np.array([g.box for g in gts], dtype=np.float64)) \
-        if gts else np.zeros((0, 4))
-    matched: set[int] = set()
-    flags = np.zeros(len(order), dtype=bool)
-    for rank, di in enumerate(order):
-        det = dets[di]
-        candidates = [gi for gi in gt_groups.get((det.image, det.class_id), ())
-                      if gi not in matched]
-        if not candidates:
-            continue
-        det_corners = cxcywh_to_xyxy(np.asarray(det.box, dtype=np.float64))
-        ious = iou_matrix(det_corners, gt_corners[candidates])[0]
-        best = int(np.argmax(ious))
-        if ious[best] >= iou_t:
-            matched.add(candidates[best])
-            flags[rank] = True
+    det_groups: dict[tuple[str, int], list[int]] = {}
+    for rank, di in enumerate(order.tolist()):
+        key = (dets[di].image, dets[di].class_id)
+        if key in gt_groups:
+            det_groups.setdefault(key, []).append(rank)
+    for key, ranks in det_groups.items():
+        ious = iou_matrix(det_corners[ranks], gt_corners[gt_groups[key]])
+        # A claimed ground truth's column becomes -1, below every IoU, so the
+        # row maximum and argmax range over the unmatched ones only.
+        start = 0
+        for _ in range(ious.shape[1]):
+            hit = ious[start:].max(axis=1) >= iou_t
+            if not hit.any():
+                break
+            row = start + int(hit.argmax())
+            ious[:, int(ious[row].argmax())] = -1.0
+            flags[ranks[row]] = True
+            start = row + 1
     return flags
 
 
@@ -102,6 +112,9 @@ def pr_f1(dets: list[DetRecord], gts: list[GtRecord], iou_t: float,
     return precision, recall, f1
 
 
+_RECALL_POINTS = np.arange(101) / 100.0
+
+
 def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP from score-ordered TP flags."""
     if n_gt == 0:
@@ -112,11 +125,13 @@ def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
     fp_cum = np.cumsum(~flags)
     recall = tp_cum / n_gt
     precision = tp_cum / (tp_cum + fp_cum)
+    # Recall never falls, so the points with recall >= r are a suffix that
+    # starts at the first such index; past the end (r above the final
+    # recall) the interpolated precision is 0.
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     total = 0.0
-    for i in range(101):
-        r = i / 100.0
-        mask = recall >= r
-        total += float(precision[mask].max()) if mask.any() else 0.0
+    for p in envelope[np.searchsorted(recall, _RECALL_POINTS, side="left")].tolist():
+        total += p
     return total / 101.0
 
 

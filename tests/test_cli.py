@@ -257,6 +257,41 @@ def test_infer_output_on_non_square_image_is_accepted_by_eval(tmp_path, config_p
     assert main(["eval", "--dets", str(dets), "--gts", str(gts)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("verb, flag, value", [
+    ("eval", "--iou-threshold", "nan"),
+    ("eval", "--iou-threshold", "1.5"),
+    ("eval", "--conf-threshold", "nan"),
+    ("eval", "--conf-threshold", "-0.1"),
+    ("infer", "--score-threshold", "nan"),
+    ("infer", "--score-threshold", "1.5"),
+    ("train-toy", "--score-threshold", "inf"),
+])
+def test_threshold_flags_require_a_finite_value_in_unit_interval(
+        tmp_path, config_path, dataset_dir, capsys, verb, flag, value):
+    (tmp_path / "dets.jsonl").write_text(GOOD_DET + "\n")
+    (tmp_path / "gts.jsonl").write_text(GOOD_GT + "\n")
+    args = {
+        "eval": ["eval", "--dets", str(tmp_path / "dets.jsonl"),
+                 "--gts", str(tmp_path / "gts.jsonl")],
+        "infer": ["infer", str(dataset_dir / "000.ppm"), "--config", config_path],
+        "train-toy": ["train-toy", "--config", config_path, "--data", str(dataset_dir),
+                      "--steps", "1", "--out", str(tmp_path / "out")],
+    }[verb]
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+
+
+def test_threshold_flags_accept_the_interval_ends(tmp_path, capsys):
+    (tmp_path / "dets.jsonl").write_text(GOOD_DET + "\n")
+    (tmp_path / "gts.jsonl").write_text(GOOD_GT + "\n")
+    assert main(["eval", "--dets", str(tmp_path / "dets.jsonl"),
+                 "--gts", str(tmp_path / "gts.jsonl"),
+                 "--conf-threshold", "0", "--iou-threshold", "1"]) == EXIT_OK
+    assert "mAP50=1.0000" in capsys.readouterr().out
+
+
 def test_eval_missing_file_exits_io(tmp_path):
     assert main(["eval", "--dets", str(tmp_path / "a.jsonl"),
                  "--gts", str(tmp_path / "b.jsonl")]) == EXIT_IO
