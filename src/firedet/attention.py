@@ -4,8 +4,8 @@ Two families live here.  The additive self-attention used inside the
 bottleneck block projects the input to Q/K/V with a 1x1 convolution, runs Q
 and K through a spatial gate (position emphasis) and a channel gate (global
 channel reweighting), multiplies the summed result elementwise with V, and
-finishes with a depthwise 3x3 convolution plus dropout.  There is no pairwise
-softmax anywhere — the attention is purely convolutional and additive.
+finishes with a depthwise 3x3 convolution.  There is no pairwise softmax and
+no dropout anywhere — the attention is purely convolutional and additive.
 
 The calibration gates used by the downsampling block are a dilated-conv
 spatial mask built from channel-mean/channel-max maps, and a squeeze-excite
@@ -31,7 +31,6 @@ from .nn import (
     channel_mean,
     concat_channels,
     conv2d,
-    dropout,
     global_avg_pool,
     linear,
 )
@@ -95,14 +94,13 @@ class CasAttention(Module):
     Q, K, V come from one bias-free 1x1 convolution C -> 3C split
     contiguously as [Q | K | V].  Q and K each pass a spatial gate followed
     by a channel gate; the gated sum multiplies V elementwise; a depthwise
-    3x3 convolution and dropout finish the block.  Output shape equals input
+    3x3 convolution finishes the block.  Output shape equals input
     shape, and the map is linear in V when the gate inputs are held fixed.
     """
 
-    def __init__(self, channels: int, rng: Rng, dropout_p: float = 0.0):
+    def __init__(self, channels: int, rng: Rng):
         super().__init__()
         self.channels = channels
-        self.dropout_p = dropout_p
         self.qkv_spec = Conv2dSpec(channels, 3 * channels, kernel=1, has_bias=False)
         self.qkv_weight = Parameter(kaiming_uniform(self.qkv_spec.weight_shape, rng, channels).data)
         self.sg_q = SpatialGate(channels, rng)
@@ -113,7 +111,7 @@ class CasAttention(Module):
                                    groups=channels, has_bias=False)
         self.out_weight = Parameter(kaiming_uniform(self.out_spec.weight_shape, rng, 9).data)
 
-    def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         c = self.channels
         qkv = conv2d(x, self.qkv_spec, self.qkv_weight)
         q = slice4(qkv, c=slice(0, c))
@@ -121,8 +119,7 @@ class CasAttention(Module):
         v = slice4(qkv, c=slice(2 * c, 3 * c))
         q_hat = self.cg_q(self.sg_q(q))
         k_hat = self.cg_k(self.sg_k(k))
-        fused = conv2d((q_hat + k_hat) * v, self.out_spec, self.out_weight)
-        return dropout(fused, self.dropout_p, training, rng)
+        return conv2d((q_hat + k_hat) * v, self.out_spec, self.out_weight)
 
 
 def sa_calibrate(x: Tensor, spec: Conv2dSpec, weight: Tensor) -> Tensor:

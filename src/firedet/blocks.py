@@ -70,7 +70,7 @@ class AirBlock(Module):
     """
 
     def __init__(self, channels: int, rng: Rng, reduction: float = 0.25,
-                 dropout_p: float = 0.0, use_residual: bool = True):
+                 use_residual: bool = True):
         super().__init__()
         reduced = math.ceil(channels * reduction)
         self.channels = channels
@@ -78,13 +78,13 @@ class AirBlock(Module):
         self.use_residual = use_residual
         self.reduce = ConvBn(channels, reduced, kernel=1, rng=rng)
         self.dw = ConvBn(reduced, reduced, kernel=3, rng=rng, groups=reduced)
-        self.attn = CasAttention(reduced, rng, dropout_p=dropout_p)
+        self.attn = CasAttention(reduced, rng)
         self.expand = ConvBn(reduced, channels, kernel=1, rng=rng)
 
-    def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None) -> Tensor:
+    def forward(self, x: Tensor, training: bool = False) -> Tensor:
         h = self.reduce(x, training=training).relu()
         h = self.dw(h, training=training).relu()
-        h = self.attn(h, training=training, rng=rng)
+        h = self.attn(h)
         y = self.expand(h, training=training)
         return y + x if self.use_residual else y
 

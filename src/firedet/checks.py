@@ -18,7 +18,7 @@ from .blocks import AirBlock, Cbs, CspBlock, DpdfBlock, Sppf
 from .losses import GroundTruth, detection_loss
 from .model import ModelConfig, build
 from .nn import (BatchNorm, Conv2dSpec, Linear, PartialConv, concat_channels,
-                 conv2d, dropout, global_avg_pool, pool2d, upsample_nearest)
+                 conv2d, global_avg_pool, pool2d, upsample_nearest)
 from .rng import Rng
 from .tensor import (Parameter, atan, from_array, grad_check, maximum, minimum,
                      no_grad, slice4, tsum, using_dtype)
@@ -40,7 +40,7 @@ class CheckResult:
 
 def _param(rng: Rng, shape: tuple[int, ...], lo: float = -1.0, hi: float = 1.0) -> Parameter:
     data = np.asarray(rng.uniform64(int(np.prod(shape)), lo, hi)).reshape(shape)
-    return Parameter(data.astype(np.float64), name="p")
+    return Parameter(data.astype(np.float64))
 
 
 def _check(name: str, fn, params, tol: float = UNIT_TOL,
@@ -182,11 +182,6 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         lin = Linear(6, 3, rng, has_bias=True)
         results.append(_check(
             "linear", lambda: tsum(lin(xv)), [xv, *lin.parameters()]))
-
-        # dropout with a fixed mask per evaluation seed
-        results.append(_check(
-            "dropout_p0.4",
-            lambda: tsum(dropout(xp, 0.4, training=True, rng=Rng(123)) * 0.3), [xp]))
 
         # partial conv (depthwise on the first quarter of channels)
         xq = _param(rng, (2, 8, 5, 5))

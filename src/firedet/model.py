@@ -57,7 +57,7 @@ class ModelConfig:
     head_channels: int | None = None
     score_threshold: float = 0.25
     nms_iou_threshold: float = 0.45
-    dropout_p: float = 0.0
+    dropout_p: float = 0.0  # committed configs carry the key; the model has no dropout
 
     def __post_init__(self):
         if self.num_classes < 1:
@@ -74,8 +74,8 @@ class ModelConfig:
             raise ConfigError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
         if not 0.0 <= self.nms_iou_threshold <= 1.0:
             raise ConfigError(f"nms_iou_threshold must be in [0, 1], got {self.nms_iou_threshold}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        if self.dropout_p != 0:
+            raise ConfigError(f"dropout_p must be 0 (no layer drops out), got {self.dropout_p}")
         widths = self.scaled_widths()
         if any(w < 2 for w in widths):
             raise ConfigError(f"width_mult {self.width_mult} collapses widths to {widths}")
@@ -113,12 +113,6 @@ class ModelConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["base_widths"] = list(self.base_widths)
-        d["blocks_per_stage"] = list(self.blocks_per_stage)
-        return d
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -146,24 +140,20 @@ class Backbone(Module):
                 downs.append(Cbs(cin, cout, 3, rng, stride=2))
             n = cfg.blocks_per_stage[i]
             if cfg.use_air:
-                stages.append(ModuleList(
-                    [AirBlock(cout, rng, dropout_p=cfg.dropout_p) for _ in range(n)]))
+                stages.append(ModuleList([AirBlock(cout, rng) for _ in range(n)]))
             else:
                 stages.append(ModuleList([CspBlock(cout, cout, n, rng)]))
         self.downs = ModuleList(downs)
         self.stages = ModuleList(stages)
         self.sppf = Sppf(w[4], w[4], rng) if cfg.include_sppf else None
 
-    def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None):
+    def forward(self, x: Tensor, training: bool = False):
         x = self.stem(x, training=training)
         feats = []
         for i in range(4):
             x = self.downs[i](x, training=training)
             for blk in self.stages[i]:
-                if isinstance(blk, AirBlock):
-                    x = blk(x, training=training, rng=rng)
-                else:
-                    x = blk(x, training=training)
+                x = blk(x, training=training)
             if i >= 1:
                 feats.append(x)
         c3, c4, c5 = feats
@@ -239,15 +229,14 @@ class Model(Module):
             ScaleHead(w[3], hc, config.num_classes, rng),
             ScaleHead(w[4], hc, config.num_classes, rng),
         ])
-        self.assign_parameter_names()
 
-    def forward(self, x: Tensor, training: bool = False, rng: Rng | None = None):
+    def forward(self, x: Tensor, training: bool = False):
         n, c, h, w = x.shape
         if c != 3:
             raise ConfigError(f"expected 3 input channels, got {c}")
         if h % 32 or w % 32:
             raise ConfigError(f"input H,W must be divisible by 32, got {h}x{w}")
-        c3, c4, c5 = self.backbone(x, training=training, rng=rng)
+        c3, c4, c5 = self.backbone(x, training=training)
         p3, p4, p5 = self.neck(c3, c4, c5, training=training)
         return [head(p, training=training) for head, p in zip(self.heads, (p3, p4, p5))]
 
@@ -298,13 +287,6 @@ def decode(maps: list[Tensor], config: ModelConfig, score_threshold: float | Non
                          float(bx2 - bx1), float(by2 - by1)),
                 ))
     return dets
-
-
-def decode_batch(maps: list[Tensor], config: ModelConfig,
-                 score_threshold: float | None = None) -> list[list[Detection]]:
-    """Decode every batch element; index b of the result belongs to input b."""
-    n = maps[0].shape[0]
-    return [decode(maps, config, score_threshold, batch_index=b) for b in range(n)]
 
 
 def cell_box(raw: Tensor, batch: int, i: int, j: int, stride: int,

@@ -3,8 +3,8 @@
 Everything here is assembled from the autodiff ops in :mod:`firedet.tensor`:
 convolution (grouped / depthwise / dilated), batch normalization, max/avg
 pooling, nearest-neighbour upsampling, channel concatenation, an affine map
-over (N, C, 1, 1) vectors, inverted dropout, and the partial convolution that
-convolves only the first ``C/r`` channels.
+over (N, C, 1, 1) vectors, and the partial convolution that convolves only
+the first ``C/r`` channels.
 
 Convolution uses the cross-correlation convention (no kernel flip).  The
 forward pass is one GEMM per group over an im2col copy of a strided window
@@ -16,10 +16,12 @@ are pinned byte for byte to reference forms in the tests.
 
 A MAC tally can be armed in the calling thread (see :func:`mac_counting`)
 to make conv/linear skip their arithmetic and record multiply-accumulate
-counts instead — the analytic cost model and the executable graph share one
-definition this way.  Like :func:`firedet.tensor.no_grad`, the tally and
-its current scope live in :mod:`contextvars`, so counting in one thread
-leaves other threads' convs computing.
+counts instead, keyed by the weight tensor each call used — the analytic
+cost model and the executable graph share one definition this way, and a
+caller that knows the parameters' names can group the counts.  Like
+:func:`firedet.tensor.no_grad`, the tally lives in :mod:`contextvars`, so
+counting in one thread leaves other threads' convs computing.  Calling a
+:class:`Module` only runs its ``forward``.
 """
 
 from __future__ import annotations
@@ -46,38 +48,36 @@ from .tensor import (
 
 # -- analytic cost tally ----------------------------------------------------------
 
-# (tally, scopes) while armed; scopes maps id(module) to a scope name.
+# The armed tally dict, or None.
 _mac_tally = contextvars.ContextVar("mac_tally", default=None)
-_mac_scope = contextvars.ContextVar("mac_scope", default="(unscoped)")
 
 
 @contextlib.contextmanager
-def mac_counting(tally: dict, scopes: dict[int, str] | None = None):
+def mac_counting(tally: dict):
     """Arm MAC counting: conv/linear add to ``tally['macs']`` and skip arithmetic.
 
     The tally is armed for the calling thread only.  While armed, conv2d and
     linear return zero tensors of the correct shape, so a single forward pass
     traces the whole graph and yields exact multiply-accumulate totals without
-    the cost of the real computation.
-    ``scopes`` maps ``id(module)`` to a scope name: MACs are also added to
-    ``tally['by_scope']`` under the name of the innermost running module
-    found there, or ``"(unscoped)"``.
+    the cost of the real computation.  Each call's MACs are also added to
+    ``tally['by_weight']`` under the weight tensor it used, so per-layer
+    groups follow from the parameters' names (see
+    :func:`firedet.profiler.count_macs`).
     """
     tally.setdefault("macs", 0)
-    tally.setdefault("by_scope", {})
-    token = _mac_tally.set((tally, scopes or {}))
+    tally.setdefault("by_weight", {})
+    token = _mac_tally.set(tally)
     try:
         yield tally
     finally:
         _mac_tally.reset(token)
 
 
-def _add_macs(count: int) -> None:
-    tally = _mac_tally.get()[0]
+def _add_macs(weight: Tensor, count: int) -> None:
+    tally = _mac_tally.get()
     tally["macs"] += count
-    scope = _mac_scope.get()
-    by_scope = tally["by_scope"]
-    by_scope[scope] = by_scope.get(scope, 0) + count
+    by_weight = tally["by_weight"]
+    by_weight[weight] = by_weight.get(weight, 0) + count
 
 
 # -- module system -----------------------------------------------------------------
@@ -139,25 +139,12 @@ class Module:
             for key in m._buffers:
                 yield _dotted(path, key), getattr(m, key)
 
-    def assign_parameter_names(self) -> None:
-        """Stamp each parameter's dotted path into its ``name`` field."""
-        for name, p in self.named_parameters():
-            p.name = name
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
 
     def __call__(self, *args, **kwargs):
-        armed = _mac_tally.get()
-        scope = armed[1].get(id(self)) if armed is not None else None
-        if scope is None:
-            return self.forward(*args, **kwargs)
-        token = _mac_scope.set(scope)
-        try:
-            return self.forward(*args, **kwargs)
-        finally:
-            _mac_scope.reset(token)
+        return self.forward(*args, **kwargs)
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -258,7 +245,7 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
     k, s, p, d = spec.kernel, spec.stride, spec.padding, spec.dilation
 
     if _mac_tally.get() is not None:
-        _add_macs(spec.macs(h, w))
+        _add_macs(weight, spec.macs(h, w))
         return zeros((n, spec.out_channels, ho, wo))
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
@@ -537,7 +524,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"bias shape {bias.shape} != (1, {cout}, 1, 1)")
 
     if _mac_tally.get() is not None:
-        _add_macs(n * cin * cout)
+        _add_macs(weight, n * cin * cout)
         return zeros((n, cout, 1, 1))
 
     xm = x.data.reshape(n, cin)
@@ -571,26 +558,6 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
-
-
-# -- dropout -------------------------------------------------------------------------------
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return make_node(x.data.copy(), (x,), lambda g: x.accumulate_grad(g))
-    if rng is None:
-        raise ValueError("dropout in train mode with p > 0 requires an rng")
-    draws = rng.uniform64(x.size).reshape(x.shape)
-    mask = ((draws >= p) / (1.0 - p)).astype(x.data.dtype)
-
-    def bwd(grad: np.ndarray) -> None:
-        x.accumulate_grad(grad * mask)
-
-    return make_node(x.data * mask, (x,), bwd)
 
 
 # -- partial convolution ---------------------------------------------------------------------

@@ -8,6 +8,9 @@ k^2 * (Cin/groups) * Cout * Hout * Wout, affine maps contribute Cin * Cout,
 and normalization/activations/pooling count as zero (dominant-term
 convention).  GFLOPs = 2 * MACs / 1e9.  The tally is armed for the calling
 thread only, so profiling leaves forward passes in other threads computing.
+Both counts are grouped the same way: the tally keys MACs by the weight
+tensor that incurred them, and every parameter belongs to the group named by
+the first two parts of its dotted name (``backbone.stages``, ``heads.0``).
 Sizes are exact serialized archive lengths at 32- and 16-bit element
 precision.
 """
@@ -15,9 +18,10 @@ precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .rng import Rng
-from .tensor import no_grad, zeros
+from .tensor import Parameter, no_grad, zeros
 from .nn import mac_counting
 from .model import Model, ModelConfig, build
 from .weights import save_weights
@@ -70,15 +74,18 @@ class ProfileReport:
         return recs
 
 
+def _grouped_parameters(model: Model) -> Iterator[tuple[str, Parameter]]:
+    """(depth-2 group name, parameter) pairs in registration order."""
+    for name, p in model.named_parameters():
+        yield ".".join(name.split(".")[:2]), p
+
+
 def count_params(model: Model) -> tuple[dict[str, int], int]:
     """Per-group and total learnable element counts (depth-2 name grouping)."""
     groups: dict[str, int] = {}
-    total = 0
-    for name, p in model.named_parameters():
-        key = ".".join(name.split(".")[:2])
+    for key, p in _grouped_parameters(model):
         groups[key] = groups.get(key, 0) + p.size
-        total += p.size
-    return groups, total
+    return groups, sum(groups.values())
 
 
 def count_macs(model: Model, input_size: int | None = None) -> tuple[dict[str, int], int]:
@@ -86,14 +93,15 @@ def count_macs(model: Model, input_size: int | None = None) -> tuple[dict[str, i
     size = input_size or model.config.input_size
     if size % 32:
         raise ValueError(f"input size must be divisible by 32, got {size}")
-    # Every module, not only those at depth <= 2: containers such as ModuleList
-    # are never called, so their children must carry the group themselves.
-    scopes = {id(m): ".".join(path.split(".")[:2]) or "model"
-              for path, m in model.named_modules()}
     tally: dict = {}
-    with no_grad(), mac_counting(tally, scopes):
+    with no_grad(), mac_counting(tally):
         model(zeros((1, 3, size, size)), training=False)
-    return tally["by_scope"], tally["macs"]
+    group_of = {p: key for key, p in _grouped_parameters(model)}
+    groups: dict[str, int] = {}
+    for weight, macs in tally["by_weight"].items():
+        key = group_of[weight]
+        groups[key] = groups.get(key, 0) + macs
+    return groups, tally["macs"]
 
 
 def size_bytes(model: Model, precision: str) -> int:

@@ -50,10 +50,6 @@ def using_dtype(dtype):
         _default_dtype.reset(token)
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled.get()
-
-
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables graph construction in the calling thread."""
@@ -103,10 +99,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A new leaf tensor sharing this tensor's data, outside the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -170,16 +162,12 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor with a dotted-path name."""
+    """A trainable leaf tensor; its dotted name comes from ``Module.named_parameters``."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data: np.ndarray, name: str = ""):
+    def __init__(self, data: np.ndarray):
         super().__init__(data, requires_grad=True)
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"Parameter(name={self.name!r}, shape={self.shape}, dtype={self.data.dtype.name})"
 
 
 def make_node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:

@@ -125,26 +125,6 @@ def test_cas_attention_linear_in_v_with_gates_frozen():
     assert np.array_equal(doubled, 2.0 * base)  # doubling is exact in binary fp
 
 
-def test_cas_attention_infer_mode_ignores_dropout():
-    rng = Rng(9)
-    x_np = arr(rng, (1, 4, 5, 5)).astype(np.float32)
-    with_p = CasAttention(4, Rng(10), dropout_p=0.5)
-    without = CasAttention(4, Rng(10), dropout_p=0.0)
-    x = from_array(x_np)
-    assert np.array_equal(with_p(x).data, without(x).data)
-
-
-def test_cas_attention_train_dropout_reproducible_per_seed():
-    rng = Rng(11)
-    cas = CasAttention(4, rng, dropout_p=0.4)
-    x = from_array(arr(rng, (1, 4, 6, 6)).astype(np.float32))
-    a = cas(x, training=True, rng=Rng(21)).data
-    b = cas(x, training=True, rng=Rng(21)).data
-    c = cas(x, training=True, rng=Rng(22)).data
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_channel_calibrate_has_independent_weights():
     rng = Rng(12)
     ca = ChannelCalibrate(8, rng)

@@ -6,6 +6,8 @@ kernels are pinned to the byte patterns of the references in ``oracles``,
 not to a tolerance.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ import firedet.attention
 import firedet.blocks
 import firedet.nn as nn
 from firedet.fileio import load_config
-from firedet.model import ModelConfig, build
+from firedet.model import build
 from firedet.rng import Rng
 from firedet.tensor import Parameter, _sigmoid_np, from_array
 
@@ -55,9 +57,7 @@ def test_conv_and_pool_calls_of_a_forward_match_reference_bits(monkeypatch, conf
             monkeypatch.setattr(mod, "conv2d", checked_conv)
         if hasattr(mod, "pool2d"):
             monkeypatch.setattr(mod, "pool2d", checked_pool)
-    raw = load_config(f"configs/{config}.json").to_dict()
-    raw["input_size"] = size
-    model = build(ModelConfig.from_dict(raw), Rng(5))
+    model = build(dataclasses.replace(load_config(f"configs/{config}.json"), input_size=size), Rng(5))
     x = from_array(Rng(6).uniform64(batch * 3 * size * size).reshape(batch, 3, size, size))
     model(x, training=training)
     assert calls["conv"] > 50 and calls["pool"] >= 3

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, letterbox geometry, files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from firedet.model import ModelConfig, build
 from firedet.rng import Rng
 from firedet.tensor import Tensor
 from firedet.weights import load_records, save_weights
+
+REPO = Path(__file__).resolve().parent.parent
+PROFILE_GOLDEN = Path(__file__).resolve().parent / "data" / "profile"
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +313,17 @@ def test_profile_and_ablation_smoke(config_path, capsys):
     assert "full/baseline parameter ratio" in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--ablation"]], ids=["table", "ablation"])
+@pytest.mark.parametrize("config", ["baseline", "air", "dpdf", "full", "toy"])
+def test_profile_output_matches_golden(config, flags, capsys):
+    # The golden files are the stdout of `firedet profile --config
+    # configs/<config>.json [--ablation]`, byte for byte.
+    args = ["profile", "--config", str(REPO / "configs" / f"{config}.json"), *flags]
+    assert main(args) == EXIT_OK
+    golden = PROFILE_GOLDEN / f"{config}{'-ablation' if flags else ''}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 # -- train-toy ------------------------------------------------------------------------
 
 
@@ -344,3 +359,14 @@ def test_train_toy_rejects_bad_steps(tmp_path, config_path, dataset_dir, capsys)
     assert main(["train-toy", "--config", config_path,
                  "--data", str(tmp_path / "missing"),
                  "--steps", "1", "--out", str(tmp_path / "y")]) == EXIT_IO
+
+
+def test_nonzero_dropout_is_a_config_error(tmp_path, dataset_dir, capsys):
+    cfg = tmp_path / "dropout.json"
+    cfg.write_text(json.dumps({"num_classes": 1, "input_size": 64, "width_mult": 0.125,
+                               "use_air": True, "dropout_p": 0.3}))
+    image = str(dataset_dir / "000.ppm")
+    assert main(["infer", image, "--config", str(cfg)]) == EXIT_CONFIG
+    assert main(["train-toy", "--config", str(cfg), "--data", str(dataset_dir),
+                 "--steps", "1", "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("dropout_p") == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from firedet.model import (ConfigError, Detection, Model, ModelConfig, STRIDES,
-                           build, cell_box, decode, decode_batch, nms)
+                           build, cell_box, decode, nms)
 from firedet.rng import Rng
 from firedet.tensor import from_array, using_dtype
 from firedet.weights import (ArchiveError, load_records, load_weights,
@@ -107,26 +107,41 @@ def test_decode_batch_keeps_images_independent():
     for m in maps:
         m.data[:, 4] = -20.0
     maps[0].data[0, 4, 3, 3] = 12.0  # only image 0 fires
-    per_image = decode_batch(maps, TOY, score_threshold=0.5)
+    per_image = [decode(maps, TOY, score_threshold=0.5, batch_index=b) for b in range(2)]
     assert [len(d) for d in per_image] == [1, 0]
 
 
 def test_cell_box_matches_decode_for_interior_cells():
+    """Every cell of every scale: ``cell_box`` is decode's box before the clip.
+
+    Raws in [-3, 3] give side distances from 0.05 to 3.05 strides, so cells
+    near the border spill past it and are clipped by decode, while the rest
+    stay inside the frame.
+    """
     with using_dtype(np.float64):
         rng = Rng(6)
         maps = [from_array(np.asarray(
-            rng.uniform64(5 * (64 // s) * (64 // s), -2.0, -0.5))
+            rng.uniform64(5 * (64 // s) * (64 // s), -3.0, 3.0))
             .reshape(1, 5, 64 // s, 64 // s)) for s in STRIDES]
-        dets = decode(maps, TOY, score_threshold=0.0)
-        # detections are scale-major then row-major; raws below -0.5 keep every
-        # side distance under 0.475 * stride, so these cells stay unclamped
-        offsets = [0, 64, 80]
-        for scale, (i, j) in ((0, (3, 4)), (1, (1, 2)), (2, (1, 0))):
-            stride = STRIDES[scale]
+        dets = iter(decode(maps, TOY, score_threshold=0.0))  # scale-major, row-major
+        clamped = unclamped = 0
+        for raw, stride in zip(maps, STRIDES):
             g = 64 // stride
-            det = dets[offsets[scale] + i * g + j]
-            twin = cell_box(maps[scale], 0, i, j, stride, 64, 64).data.reshape(4)
-            assert np.allclose(np.asarray(det.box), twin, atol=1e-12)
+            for i in range(g):
+                for j in range(g):
+                    box = np.asarray(next(dets).box)
+                    cx, cy, w, h = cell_box(raw, 0, i, j, stride, 64, 64).data.reshape(4)
+                    corners = np.array([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2])
+                    if ((corners >= 0.0) & (corners <= 1.0)).all():
+                        unclamped += 1
+                        assert np.allclose(box, (cx, cy, w, h), rtol=0.0, atol=1e-12)
+                    else:
+                        clamped += 1
+                        x1, y1, x2, y2 = np.clip(corners, 0.0, 1.0)
+                        want = ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+                        assert np.allclose(box, want, rtol=0.0, atol=1e-12), (stride, i, j)
+        assert next(dets, None) is None
+        assert clamped > 10 and unclamped > 10
 
 
 # -- non-maximum suppression --------------------------------------------------------------
@@ -258,13 +273,13 @@ def test_load_rejects_non_finite_records_before_mutation(bad):
 
 def test_save_rejects_non_finite_and_f16_overflowing_values():
     model = build(TOY, Rng(0))
-    _, p = next(model.named_parameters())
+    name, p = next(model.named_parameters())
     for value in (1e6, -65505.0, np.nan):
         p.data.flat[0] = value
         with pytest.raises(ArchiveError, match="finite and within"):
             save_weights(model, precision="f16")
     p.data.flat[0] = -65504.0  # the largest float16 magnitude still fits
-    assert dict(load_records(save_weights(model, precision="f16")))[p.name].flat[0] == -65504.0
+    assert dict(load_records(save_weights(model, precision="f16")))[name].flat[0] == -65504.0
     p.data.flat[0] = 1e6
     load_records(save_weights(model, precision="f32"))
 
@@ -287,6 +302,7 @@ def test_save_records_rejects_unknown_precision():
     {"score_threshold": 1.5},
     {"nms_iou_threshold": -0.1},
     {"dropout_p": 1.0},
+    {"dropout_p": 0.3},  # no layer drops out, so only 0 is accepted
     {"use_dpdf": True, "width_mult": 0.1},  # widths not divisible by 4
     {"head_channels": 0},
 ])
@@ -300,7 +316,8 @@ def test_config_rejects_contract_violations(kwargs):
 def test_config_from_dict_round_trip_and_unknown_keys():
     cfg = ModelConfig(num_classes=2, input_size=64, width_mult=0.125,
                       blocks_per_stage=(1, 1, 1, 1))
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict({"num_classes": 2, "input_size": 64, "width_mult": 0.125,
+                                  "blocks_per_stage": [1, 1, 1, 1]}) == cfg
     with pytest.raises(ConfigError, match="unknown config keys"):
         ModelConfig.from_dict({"num_classes": 1, "depth_mult": 1.0})
     with pytest.raises(ConfigError):

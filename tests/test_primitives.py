@@ -3,7 +3,7 @@ import pytest
 
 from oracles import naive_conv2d, naive_linear, naive_partial_conv, naive_pool2d
 
-from firedet.nn import (BatchNorm, Conv2dSpec, concat_channels, conv2d, dropout,
+from firedet.nn import (BatchNorm, Conv2dSpec, concat_channels, conv2d,
                         global_avg_pool, identity_kernel, linear, partial_conv,
                         pool2d, upsample_nearest)
 from firedet.rng import Rng
@@ -245,24 +245,6 @@ def test_concat_channels_order_and_backward_split():
     assert np.allclose(out.data[:, :2], 1.0) and np.allclose(out.data[:, 2:], 2.0)
     tsum(out * 3.0).backward()
     assert np.allclose(a.grad, 3.0) and np.allclose(b.grad, 3.0)
-
-
-def test_dropout_identity_when_p0_or_eval():
-    x = from_array(np.ones((1, 4, 8, 8)))
-    assert np.array_equal(dropout(x, 0.0, training=True, rng=Rng(0)).data, x.data)
-    assert np.array_equal(dropout(x, 0.5, training=False).data, x.data)
-
-
-def test_dropout_inverted_scaling():
-    rng = Rng(4)
-    x = from_array(np.ones((1, 8, 32, 32)))
-    out = dropout(x, 0.25, training=True, rng=rng).data
-    kept = out[out != 0]
-    assert np.allclose(kept, 1.0 / 0.75)
-    frac = kept.size / out.size
-    assert 0.70 < frac < 0.80
-    with pytest.raises(ValueError):
-        dropout(x, 1.5, training=True, rng=rng)
 
 
 def test_partial_conv_identity_kernel_property():

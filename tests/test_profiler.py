@@ -44,6 +44,7 @@ def test_single_convolution_mac_formula():
         out = conv2d(x, spec, w)
     assert out.shape == (1, 6, 10, 12)
     assert tally["macs"] == 9 * 4 * 6 * 10 * 12
+    assert tally["by_weight"] == {w: tally["macs"]}
 
 
 def test_grouped_convolution_divides_mac_cost():
