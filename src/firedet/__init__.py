@@ -20,7 +20,6 @@ from .tensor import (
     make_node,
     no_grad,
     scalar,
-    uniform,
     using_dtype,
     zeros,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "from_array",
     "scalar",
     "zeros",
-    "uniform",
     "kaiming_uniform",
     "grad_check",
     "no_grad",

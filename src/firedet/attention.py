@@ -12,8 +12,10 @@ spatial mask built from channel-mean/channel-max maps, and a squeeze-excite
 style channel gate.  All gate outputs are sigmoid-squashed, so every gate
 scales its input by factors strictly inside (0, 1).
 
-All convolutions and affine maps in this module are bias-free; their
-normalization-free gates get their operating point from the sigmoid instead.
+Each gate is one :class:`Module`: its arithmetic lives in its ``forward``
+and nowhere else.  All convolutions and affine maps in this module are
+bias-free; their normalization-free gates get their operating point from
+the sigmoid instead.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from __future__ import annotations
 import math
 
 from .rng import Rng
-from .tensor import Parameter, Tensor, kaiming_uniform, sigmoid, slice4
+from .tensor import Tensor, kaiming_uniform, sigmoid, slice4
 from .nn import (
-    Conv2d,
     Conv2dSpec,
     Linear,
     Module,
@@ -32,7 +33,6 @@ from .nn import (
     concat_channels,
     conv2d,
     global_avg_pool,
-    linear,
 )
 
 
@@ -41,42 +41,28 @@ def gate_hidden(channels: int) -> int:
     return math.ceil(channels / 4)
 
 
-def spatial_gate(x: Tensor, dw_spec: Conv2dSpec, dw_weight: Tensor,
-                 pw_spec: Conv2dSpec, pw_weight: Tensor) -> Tensor:
-    """y = x * sigmoid(conv3x3(depthwise3x3(x))); shape preserved."""
-    gate = sigmoid(conv2d(conv2d(x, dw_spec, dw_weight), pw_spec, pw_weight))
-    return x * gate
-
-
-def channel_gate(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """y = x * sigmoid(mlp(gap(x))), a per-channel scale in (0, 1).
-
-    The MLP maps C -> ceil(C/4) -> C with a ReLU between the layers; the
-    (N, C, 1, 1) gate broadcasts across all spatial positions.
-    """
-    squeezed = global_avg_pool(x)
-    gate = sigmoid(linear(linear(squeezed, w1).relu(), w2))
-    return x * gate
-
-
 class SpatialGate(Module):
-    """Learnable spatial gate: depthwise 3x3 then full 3x3 producing gate logits."""
+    """Spatial gate: y = x * sigmoid(conv3x3(depthwise3x3(x))); shape preserved."""
 
     def __init__(self, channels: int, rng: Rng):
         super().__init__()
         self.dw_spec = Conv2dSpec(channels, channels, kernel=3, padding=1,
                                   groups=channels, has_bias=False)
         self.pw_spec = Conv2dSpec(channels, channels, kernel=3, padding=1, has_bias=False)
-        self.dw_weight = Parameter(kaiming_uniform(self.dw_spec.weight_shape, rng, 9).data)
-        self.pw_weight = Parameter(
-            kaiming_uniform(self.pw_spec.weight_shape, rng, channels * 9).data)
+        self.dw_weight = kaiming_uniform(self.dw_spec.weight_shape, rng, 9)
+        self.pw_weight = kaiming_uniform(self.pw_spec.weight_shape, rng, channels * 9)
 
     def forward(self, x: Tensor) -> Tensor:
-        return spatial_gate(x, self.dw_spec, self.dw_weight, self.pw_spec, self.pw_weight)
+        h = conv2d(x, self.dw_spec, self.dw_weight)
+        return x * sigmoid(conv2d(h, self.pw_spec, self.pw_weight))
 
 
 class ChannelGate(Module):
-    """Learnable squeeze-excite channel gate with a ceil(C/4) hidden layer."""
+    """Squeeze-excite channel gate: y = x * sigmoid(mlp(gap(x))).
+
+    The MLP maps C -> ceil(C/4) -> C with a ReLU between its two bias-free
+    layers; the (N, C, 1, 1) gate broadcasts across all spatial positions.
+    """
 
     def __init__(self, channels: int, rng: Rng):
         super().__init__()
@@ -85,7 +71,7 @@ class ChannelGate(Module):
         self.fc2 = Linear(hidden, channels, rng, has_bias=False)
 
     def forward(self, x: Tensor) -> Tensor:
-        return channel_gate(x, self.fc1.weight, self.fc2.weight)
+        return x * sigmoid(self.fc2(self.fc1(global_avg_pool(x)).relu()))
 
 
 class CasAttention(Module):
@@ -102,14 +88,14 @@ class CasAttention(Module):
         super().__init__()
         self.channels = channels
         self.qkv_spec = Conv2dSpec(channels, 3 * channels, kernel=1, has_bias=False)
-        self.qkv_weight = Parameter(kaiming_uniform(self.qkv_spec.weight_shape, rng, channels).data)
+        self.qkv_weight = kaiming_uniform(self.qkv_spec.weight_shape, rng, channels)
         self.sg_q = SpatialGate(channels, rng)
         self.cg_q = ChannelGate(channels, rng)
         self.sg_k = SpatialGate(channels, rng)
         self.cg_k = ChannelGate(channels, rng)
         self.out_spec = Conv2dSpec(channels, channels, kernel=3, padding=1,
                                    groups=channels, has_bias=False)
-        self.out_weight = Parameter(kaiming_uniform(self.out_spec.weight_shape, rng, 9).data)
+        self.out_weight = kaiming_uniform(self.out_spec.weight_shape, rng, 9)
 
     def forward(self, x: Tensor) -> Tensor:
         c = self.channels
@@ -122,27 +108,22 @@ class CasAttention(Module):
         return conv2d((q_hat + k_hat) * v, self.out_spec, self.out_weight)
 
 
-def sa_calibrate(x: Tensor, spec: Conv2dSpec, weight: Tensor) -> Tensor:
+class SpatialCalibrate(Module):
     """Spatial calibration: a single-channel dilated-conv mask rescales x.
 
     The mask is sigmoid(conv([channel-mean; channel-max], k=7, dilation=2,
     padding=6, out_channels=1)) and broadcasts across channels.
     """
-    pooled = concat_channels([channel_mean(x), channel_max(x)])
-    mask = sigmoid(conv2d(pooled, spec, weight))
-    return x * mask
-
-
-class SpatialCalibrate(Module):
-    """Learnable spatial calibration gate (7x7 dilation-2 conv on pooled maps)."""
 
     def __init__(self, rng: Rng):
         super().__init__()
         self.spec = Conv2dSpec(2, 1, kernel=7, padding=6, dilation=2, has_bias=False)
-        self.weight = Parameter(kaiming_uniform(self.spec.weight_shape, rng, 2 * 49).data)
+        self.weight = kaiming_uniform(self.spec.weight_shape, rng, 2 * 49)
 
     def forward(self, x: Tensor) -> Tensor:
-        return sa_calibrate(x, self.spec, self.weight)
+        pooled = concat_channels([channel_mean(x), channel_max(x)])
+        mask = sigmoid(conv2d(pooled, self.spec, self.weight))
+        return x * mask
 
 
 class ChannelCalibrate(ChannelGate):

@@ -1,6 +1,7 @@
 """Composite network blocks.
 
-``Cbs`` is the basic Conv-BatchNorm-SiLU unit.  ``AirBlock`` is the
+``ConvBn`` is a bias-free "same"-padded convolution followed by BatchNorm,
+and ``Cbs`` is the same unit with a SiLU on top.  ``AirBlock`` is the
 attention-guided inverted-residual bottleneck: reduce channels 4x with a 1x1
 convolution, refine with a depthwise 3x3, apply additive convolutional
 attention at the reduced width, restore channels with a 1x1 convolution, and
@@ -27,36 +28,29 @@ from .nn import BatchNorm, Conv2d, Conv2dSpec, Module, ModuleList, PartialConv, 
 from .attention import CasAttention, ChannelCalibrate, SpatialCalibrate, gate_hidden
 
 
-class Cbs(Module):
-    """Conv-BatchNorm-SiLU; the convolution is bias-free (BN absorbs it)."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: Rng,
-                 stride: int = 1, padding: int | None = None):
-        super().__init__()
-        if padding is None:
-            padding = kernel // 2
-        self.conv = Conv2d(Conv2dSpec(in_channels, out_channels, kernel, stride=stride,
-                                      padding=padding, has_bias=False), rng)
-        self.bn = BatchNorm(out_channels)
-
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        return self.bn(self.conv(x), training=training).silu()
-
-
 class ConvBn(Module):
-    """Conv followed by BatchNorm with no activation (restore/projection layers)."""
+    """Conv followed by BatchNorm with no activation (restore/projection layers).
+
+    The convolution is bias-free (BN absorbs it) and padded by kernel // 2,
+    so at stride 1 the output keeps the input's height and width.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: Rng,
-                 stride: int = 1, padding: int | None = None, groups: int = 1):
+                 stride: int = 1, groups: int = 1):
         super().__init__()
-        if padding is None:
-            padding = kernel // 2
         self.conv = Conv2d(Conv2dSpec(in_channels, out_channels, kernel, stride=stride,
-                                      padding=padding, groups=groups, has_bias=False), rng)
+                                      padding=kernel // 2, groups=groups, has_bias=False), rng)
         self.bn = BatchNorm(out_channels)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         return self.bn(self.conv(x), training=training)
+
+
+class Cbs(ConvBn):
+    """Conv-BatchNorm-SiLU: a :class:`ConvBn` whose output passes a SiLU."""
+
+    def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        return super().forward(x, training=training).silu()
 
 
 class AirBlock(Module):
@@ -66,16 +60,12 @@ class AirBlock(Module):
     dw:     depthwise 3x3 + BN + ReLU at the reduced width
     attn:   additive convolutional attention at the reduced width
     expand: 1x1 conv back to C + BN (no activation)
-    skip:   y = y + x when in/out widths match (always true here)
+    skip:   y = expand + x, the identity skip
     """
 
-    def __init__(self, channels: int, rng: Rng, reduction: float = 0.25,
-                 use_residual: bool = True):
+    def __init__(self, channels: int, rng: Rng):
         super().__init__()
-        reduced = math.ceil(channels * reduction)
-        self.channels = channels
-        self.reduced = reduced
-        self.use_residual = use_residual
+        reduced = math.ceil(channels / 4)
         self.reduce = ConvBn(channels, reduced, kernel=1, rng=rng)
         self.dw = ConvBn(reduced, reduced, kernel=3, rng=rng, groups=reduced)
         self.attn = CasAttention(reduced, rng)
@@ -85,8 +75,7 @@ class AirBlock(Module):
         h = self.reduce(x, training=training).relu()
         h = self.dw(h, training=training).relu()
         h = self.attn(h)
-        y = self.expand(h, training=training)
-        return y + x if self.use_residual else y
+        return self.expand(h, training=training) + x
 
 
 class DpdfBlock(Module):
@@ -102,10 +91,6 @@ class DpdfBlock(Module):
 
     def __init__(self, in_channels: int, out_channels: int, rng: Rng):
         super().__init__()
-        if in_channels % 4:
-            raise ValueError(f"dual-pool block needs channels divisible by 4, got {in_channels}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.pconv_max = PartialConv(in_channels, rng)
         self.sa_max = SpatialCalibrate(rng)
         self.ca_max = ChannelCalibrate(in_channels, rng)
@@ -205,9 +190,9 @@ def cas_param_count(c: int) -> int:
     return qkv + spatial + channel + out_dw
 
 
-def air_param_count(c: int, reduction: float = 0.25) -> int:
+def air_param_count(c: int) -> int:
     """Closed-form parameter count of one shape-preserving bottleneck block."""
-    r = math.ceil(c * reduction)
+    r = math.ceil(c / 4)
     reduce = c * r + 2 * r
     dw = 9 * r + 2 * r
     expand = r * c + 2 * c

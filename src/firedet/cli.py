@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -26,7 +27,7 @@ from .metrics import DetRecord, map_range
 from .model import ConfigError, Model, ModelConfig, build
 from .profiler import VARIANTS, ablation_report, profile, variant_config
 from .rng import Rng
-from .synth import generate_dataset
+from .synth import MIN_IMAGE_SIZE, generate_dataset
 from .train import TrainingDiverged, detect_batch, evaluate_model, load_dataset, train_toy
 from .weights import ArchiveError, load_weights, save_weights
 
@@ -117,8 +118,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n <= 0 or args.image_size < 16:
-        print("config error: --n must be positive and --image-size at least 16",
+    if args.n <= 0 or args.image_size < MIN_IMAGE_SIZE:
+        print(f"config error: --n must be positive and --image-size at least {MIN_IMAGE_SIZE}",
               file=sys.stderr)
         return EXIT_CONFIG
     records = generate_dataset(args.n, args.seed, args.out, image_size=args.image_size)
@@ -161,6 +162,22 @@ def _threshold(text: str) -> float:
     return value
 
 
+def _input_size(text: str) -> int:
+    """argparse type of ``profile --input``: a positive multiple of 32."""
+    value = int(text)
+    if value <= 0 or value % 32:
+        raise argparse.ArgumentTypeError(f"must be a positive multiple of 32, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """argparse type of the optimizer flags: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firedet",
@@ -191,8 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--variant", choices=VARIANTS, default=None,
                    help="override the attention/downscale variant")
-    p.add_argument("--input", type=int, default=None,
-                   help="profile at this input size (default: config input_size)")
+    p.add_argument("--input", type=_input_size, default=None,
+                   help="input size, a positive multiple of 32 (default: the config's)")
     p.add_argument("--ablation", action="store_true",
                    help="print the four-variant comparison grid")
     common(p)
@@ -214,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the seeded synthetic set")
     p.add_argument("--n", type=int, default=8, help="number of images")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--image-size", type=int, default=64)
+    p.add_argument("--image-size", type=int, default=64,
+                   help=f"image side in pixels, at least {MIN_IMAGE_SIZE} (default 64)")
     common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -222,8 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="directory from `synth`")
     p.add_argument("--steps", type=int, default=150)
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--weight-decay", type=float, default=0.0)
+    p.add_argument("--lr", type=_non_negative, default=0.002,
+                   help="learning rate, finite and >= 0; 0 changes no parameter")
+    p.add_argument("--weight-decay", type=_non_negative, default=0.0,
+                   help="decoupled weight decay, finite and >= 0")
     p.add_argument("--precision", choices=("f32", "f16"), default="f32",
                    help="weight archive precision")
     p.add_argument("--score-threshold", type=_threshold, default=0.001,

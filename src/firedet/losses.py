@@ -38,6 +38,8 @@ from .tensor import _sigmoid_np, _softplus_np  # stable scalar maps shared with 
 from .nn import concat_channels
 from .model import STRIDES, ModelConfig, cell_box
 
+MIN_EXTENT = 1e-9  # floor of every box width and height the CIoU terms divide by
+
 
 def bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of raw logits against targets in [0, 1]."""
@@ -62,12 +64,11 @@ def _coord(boxes: Tensor, idx: int) -> Tensor:
     return slice4(boxes, c=slice(idx, idx + 1))
 
 
-def ciou_loss(pred: Tensor, gt: Tensor, tiny: float = 1e-9,
-              alpha_const: np.ndarray | None = None) -> Tensor:
+def ciou_loss(pred: Tensor, gt: Tensor, alpha_const: np.ndarray | None = None) -> Tensor:
     """1 - CIoU per box; pred and gt are (N, 4, P, 1) center-format boxes.
 
-    Differentiable in pred; degenerate predicted extents are clamped at
-    ``tiny``.  Returns shape (N, 1, P, 1).
+    Differentiable in pred; degenerate extents are clamped at
+    ``MIN_EXTENT``.  Returns shape (N, 1, P, 1).
 
     The aspect term's trade-off coefficient is held constant during
     differentiation.  By default it is recomputed from the current values on
@@ -77,7 +78,7 @@ def ciou_loss(pred: Tensor, gt: Tensor, tiny: float = 1e-9,
     """
     if pred.shape != gt.shape or pred.shape[1] != 4:
         raise ValueError(f"expected matching (N,4,P,1) boxes, got {pred.shape} and {gt.shape}")
-    floor = scalar(tiny)
+    floor = scalar(MIN_EXTENT)
     px, py = _coord(pred, 0), _coord(pred, 1)
     pw, ph = maximum(_coord(pred, 2), floor), maximum(_coord(pred, 3), floor)
     gx, gy = _coord(gt, 0), _coord(gt, 1)
@@ -121,8 +122,8 @@ def ciou_alpha(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(pred_boxes, dtype=np.float64)
     g = np.asarray(gt_boxes, dtype=np.float64)
-    pw, ph = np.maximum(p[:, 2:3], 1e-9), np.maximum(p[:, 3:4], 1e-9)
-    gw, gh = np.maximum(g[:, 2:3], 1e-9), np.maximum(g[:, 3:4], 1e-9)
+    pw, ph = np.maximum(p[:, 2:3], MIN_EXTENT), np.maximum(p[:, 3:4], MIN_EXTENT)
+    gw, gh = np.maximum(g[:, 2:3], MIN_EXTENT), np.maximum(g[:, 3:4], MIN_EXTENT)
     px1, px2 = p[:, 0:1] - pw / 2, p[:, 0:1] + pw / 2
     py1, py2 = p[:, 1:2] - ph / 2, p[:, 1:2] + ph / 2
     gx1, gx2 = g[:, 0:1] - gw / 2, g[:, 0:1] + gw / 2
@@ -227,7 +228,6 @@ LAMBDA_CLS = 0.5
 
 
 def detection_loss(maps: list[Tensor], gts: list[GroundTruth], config: ModelConfig,
-                   input_size: int | None = None,
                    alpha_cache: dict[int, np.ndarray] | None = None,
                    ) -> tuple[Tensor, Tensor, Tensor]:
     """(total, box_term, cls_term) over a batch of raw maps.
@@ -236,12 +236,13 @@ def detection_loss(maps: list[Tensor], gts: list[GroundTruth], config: ModelConf
     against its ground truth, plus 0.5 * mean binary cross-entropy over every
     (cell, class) of every scale.  With zero positives the box term is zero.
 
-    ``alpha_cache`` pins each positive's CIoU trade-off coefficient on first
-    use and reuses it afterwards — required when a finite-difference check
-    re-evaluates the loss, since the backward pass holds alpha constant.
+    The input size is read off the stride-8 map.  ``alpha_cache`` pins each
+    positive's CIoU trade-off coefficient on first use and reuses it
+    afterwards — required when a finite-difference check re-evaluates the
+    loss, since the backward pass holds alpha constant.
     """
     batch = maps[0].shape[0]
-    size = input_size or maps[0].shape[2] * STRIDES[0]
+    size = maps[0].shape[2] * STRIDES[0]
     targets = assign(gts, config, batch, size)
 
     total_cells = 0

@@ -129,7 +129,6 @@ class Backbone(Module):
     def __init__(self, cfg: ModelConfig, rng: Rng):
         super().__init__()
         w = cfg.scaled_widths()
-        self.use_air = cfg.use_air
         self.stem = Cbs(3, w[0], 3, rng, stride=2)
         downs, stages = [], []
         for i in range(4):

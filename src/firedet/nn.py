@@ -2,9 +2,9 @@
 
 Everything here is assembled from the autodiff ops in :mod:`firedet.tensor`:
 convolution (grouped / depthwise / dilated), batch normalization, max/avg
-pooling, nearest-neighbour upsampling, channel concatenation, an affine map
-over (N, C, 1, 1) vectors, and the partial convolution that convolves only
-the first ``C/r`` channels.
+pooling, 2x nearest-neighbour upsampling, channel concatenation, an affine
+map over (N, C, 1, 1) vectors, and the partial convolution that convolves
+only the first quarter of the channels.
 
 Convolution uses the cross-correlation convention (no kernel flip).  The
 forward pass is one GEMM per group over an im2col copy of a strided window
@@ -16,9 +16,10 @@ are pinned byte for byte to reference forms in the tests.
 
 A MAC tally can be armed in the calling thread (see :func:`mac_counting`)
 to make conv/linear skip their arithmetic and record multiply-accumulate
-counts instead, keyed by the weight tensor each call used — the analytic
-cost model and the executable graph share one definition this way, and a
-caller that knows the parameters' names can group the counts.  Like
+counts instead, for the whole batch of each call and keyed by the weight
+tensor it used — the analytic cost model and the executable graph share one
+definition this way, and a caller that knows the parameters' names can
+group the counts.  Like
 :func:`firedet.tensor.no_grad`, the tally lives in :mod:`contextvars`, so
 counting in one thread leaves other threads' convs computing.  Calling a
 :class:`Module` only runs its ``forward``.
@@ -59,7 +60,8 @@ def mac_counting(tally: dict):
     The tally is armed for the calling thread only.  While armed, conv2d and
     linear return zero tensors of the correct shape, so a single forward pass
     traces the whole graph and yields exact multiply-accumulate totals without
-    the cost of the real computation.  Each call's MACs are also added to
+    the cost of the real computation.  Each call counts its whole batch: a
+    batch of N costs N times one image.  Each call's MACs are also added to
     ``tally['by_weight']`` under the weight tensor it used, so per-layer
     groups follow from the parameters' names (see
     :func:`firedet.profiler.count_macs`).
@@ -110,13 +112,6 @@ class Module:
         object.__setattr__(self, key, value)
 
     def register_buffer(self, key: str, value: np.ndarray) -> None:
-        self._buffers[key] = value
-        object.__setattr__(self, key, value)
-
-    def set_buffer(self, key: str, value: np.ndarray) -> None:
-        """Replace a registered buffer's contents (keeps registration)."""
-        if key not in self._buffers:
-            raise KeyError(f"no buffer named {key!r}")
         self._buffers[key] = value
         object.__setattr__(self, key, value)
 
@@ -213,12 +208,6 @@ class Conv2dSpec:
         ho, wo = self.out_hw(h, w)
         return self.kernel * self.kernel * (self.in_channels // self.groups) * self.out_channels * ho * wo
 
-    def param_count(self) -> int:
-        n = self.out_channels * (self.in_channels // self.groups) * self.kernel * self.kernel
-        if self.has_bias:
-            n += self.out_channels
-        return n
-
 
 def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation with stride/padding/dilation/groups.
@@ -245,7 +234,7 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
     k, s, p, d = spec.kernel, spec.stride, spec.padding, spec.dilation
 
     if _mac_tally.get() is not None:
-        _add_macs(weight, spec.macs(h, w))
+        _add_macs(weight, n * spec.macs(h, w))
         return zeros((n, spec.out_channels, ho, wo))
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
@@ -292,7 +281,7 @@ class Conv2d(Module):
         super().__init__()
         self.spec = spec
         fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
-        self.weight = Parameter(kaiming_uniform(spec.weight_shape, rng, fan_in).data)
+        self.weight = kaiming_uniform(spec.weight_shape, rng, fan_in)
         self.bias = Parameter(np.zeros((1, spec.out_channels, 1, 1), dtype=default_dtype())) if spec.has_bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -301,23 +290,25 @@ class Conv2d(Module):
 
 # -- batch normalization -----------------------------------------------------------------
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 class BatchNorm(Module):
     """Per-channel batch normalization with running statistics.
 
     Train mode normalizes by the batch mean and biased variance over
     (N, H, W), updating the running statistics in place with
-    ``running = (1 - momentum) * running + momentum * batch`` (biased
+    ``running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch`` (biased
     variance throughout, documented convention).  Infer mode applies the
-    affine map using the stored statistics.  Both modes are differentiable;
+    affine map using the stored statistics.  Both modes divide by
+    ``sqrt(var + BN_EPS)``.  Both modes are differentiable;
     train mode backpropagates through the batch statistics.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         dt = default_dtype()
         self.gamma = Parameter(np.ones((1, channels, 1, 1), dtype=dt))
         self.beta = Parameter(np.zeros((1, channels, 1, 1), dtype=dt))
@@ -327,9 +318,9 @@ class BatchNorm(Module):
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         if x.shape[1] != self.channels:
             raise ValueError(f"input has {x.shape[1]} channels, layer has {self.channels}")
-        gamma, beta, eps = self.gamma, self.beta, self.eps
+        gamma, beta = self.gamma, self.beta
         if not training:
-            inv_std = 1.0 / np.sqrt(self.running_var + eps)
+            inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
             xhat_data = (x.data - self.running_mean) * inv_std
 
             def bwd_infer(grad: np.ndarray) -> None:
@@ -345,11 +336,11 @@ class BatchNorm(Module):
         axes = (0, 2, 3)
         mean = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean) * inv_std
 
-        self.running_mean[...] = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-        self.running_var[...] = (1.0 - self.momentum) * self.running_var + self.momentum * var
+        self.running_mean[...] = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        self.running_var[...] = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
 
         def bwd_train(grad: np.ndarray) -> None:
             if gamma.requires_grad:
@@ -453,19 +444,14 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return tmean(x, axes=(2, 3))
 
 
-def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
-    """Replicate each pixel factor x factor; backward sums the replicas."""
-    if factor < 1 or int(factor) != factor:
-        raise ValueError(f"factor must be a positive integer, got {factor}")
-    f = int(factor)
-    if f == 1:
-        return make_node(x.data.copy(), (x,), lambda g: x.accumulate_grad(g))
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Replicate each pixel 2 x 2; backward sums the replicas."""
     n, c, h, w = x.shape
-    out = np.repeat(np.repeat(x.data, f, axis=2), f, axis=3)
+    out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def bwd(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(grad.reshape(n, c, h, f, w, f).sum(axis=(3, 5)))
+            x.accumulate_grad(grad.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
     return make_node(out, (x,), bwd)
 
@@ -551,9 +537,7 @@ class Linear(Module):
 
     def __init__(self, in_features: int, out_features: int, rng: Rng, has_bias: bool = True):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(kaiming_uniform((out_features, in_features, 1, 1), rng, in_features).data)
+        self.weight = kaiming_uniform((out_features, in_features, 1, 1), rng, in_features)
         self.bias = Parameter(np.zeros((1, out_features, 1, 1), dtype=default_dtype())) if has_bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -563,40 +547,37 @@ class Linear(Module):
 # -- partial convolution ---------------------------------------------------------------------
 
 
-def partial_conv_spec(channels: int, r: int = 4) -> Conv2dSpec:
-    """Spec of the depthwise 3x3 applied to the first channels/r channels."""
-    if channels % r:
-        raise ValueError(f"channels={channels} not divisible by r={r}")
-    cp = channels // r
+def partial_conv_spec(channels: int) -> Conv2dSpec:
+    """Spec of the depthwise 3x3 applied to the first channels/4 channels."""
+    if channels % 4:
+        raise ValueError(f"channels={channels} not divisible by 4")
+    cp = channels // 4
     return Conv2dSpec(cp, cp, kernel=3, stride=1, padding=1, groups=cp, has_bias=False)
 
 
-def partial_conv(x: Tensor, dw_weight: Tensor, r: int = 4) -> Tensor:
-    """Depthwise-convolve the first C/r channels; pass the rest through.
+def partial_conv(x: Tensor, dw_weight: Tensor) -> Tensor:
+    """Depthwise-convolve the first C/4 channels; pass the rest through.
 
     The convolved slice keeps its original channel positions, so the output
     has exactly the input's shape.
     """
     c = x.shape[1]
-    spec = partial_conv_spec(c, r)
-    cp = c // r
+    spec = partial_conv_spec(c)
+    cp = c // 4
     front = conv2d(slice4(x, c=slice(0, cp)), spec, dw_weight)
     rest = slice4(x, c=slice(cp, c))
     return concat_channels([front, rest])
 
 
 class PartialConv(Module):
-    """Learnable partial convolution (depthwise 3x3 on the first C/r channels)."""
+    """Learnable partial convolution (depthwise 3x3 on the first C/4 channels)."""
 
-    def __init__(self, channels: int, rng: Rng, r: int = 4):
+    def __init__(self, channels: int, rng: Rng):
         super().__init__()
-        self.r = r
-        self.spec = partial_conv_spec(channels, r)
-        fan_in = 9
-        self.weight = Parameter(kaiming_uniform(self.spec.weight_shape, rng, fan_in).data)
+        self.weight = kaiming_uniform(partial_conv_spec(channels).weight_shape, rng, 9)
 
     def forward(self, x: Tensor) -> Tensor:
-        return partial_conv(x, self.weight, self.r)
+        return partial_conv(x, self.weight)
 
 
 def identity_kernel(channels: int) -> Tensor:

@@ -64,15 +64,6 @@ class ProfileReport:
                      "sizes are exact archive bytes (running stats included).")
         return "\n".join(lines)
 
-    def to_records(self) -> list[dict]:
-        recs = [{"layer": r.name, "params": r.params, "macs": r.macs} for r in self.rows]
-        recs.append({
-            "layer": "total", "params": self.total_params, "macs": self.total_macs,
-            "gflops": self.gflops, "size_f32": self.size_f32, "size_f16": self.size_f16,
-            "input_size": self.input_size,
-        })
-        return recs
-
 
 def _grouped_parameters(model: Model) -> Iterator[tuple[str, Parameter]]:
     """(depth-2 group name, parameter) pairs in registration order."""
@@ -91,8 +82,6 @@ def count_params(model: Model) -> tuple[dict[str, int], int]:
 def count_macs(model: Model, input_size: int | None = None) -> tuple[dict[str, int], int]:
     """Per-group and total MACs for a single image at the given input size."""
     size = input_size or model.config.input_size
-    if size % 32:
-        raise ValueError(f"input size must be divisible by 32, got {size}")
     tally: dict = {}
     with no_grad(), mac_counting(tally):
         model(zeros((1, 3, size, size)), training=False)
@@ -145,11 +134,10 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
 
 def ablation_report(base: ModelConfig, input_size: int | None = None, seed: int = 0) -> str:
     """Four-variant grid: params/GFLOPs/size plus reductions vs the baseline."""
-    size = input_size or base.input_size
     stats: dict[str, ProfileReport] = {}
     for variant in VARIANTS:
         model = build(variant_config(base, variant), Rng(seed))
-        stats[variant] = profile(model, size)
+        stats[variant] = profile(model, input_size)
     baseline = stats["baseline"]
     lines = [f"{'variant':<10}  {'params':>12}  {'GFLOPs':>8}  {'size f16 MB':>12}  "
              f"{'params vs base':>15}  {'GFLOPs vs base':>15}"]

@@ -22,6 +22,9 @@ MIN_RADIUS = 4.0
 MAX_RADIUS = 8.0
 NOISE_LEVEL = 0.35
 BLOB_GAP = 3.0  # minimum clearance between ellipse extents, pixels
+EDGE_MARGIN = 2.0  # minimum clearance between an ellipse and the image border, pixels
+# Smallest side that fits a blob of MAX_RADIUS with its margins on both sides.
+MIN_IMAGE_SIZE = int(2 * (MAX_RADIUS + EDGE_MARGIN))
 
 
 def _draw1(rng: Rng, lo: float, hi: float) -> float:
@@ -38,8 +41,8 @@ def _place_blobs(rng: Rng, size: int, cell: int) -> list[tuple[float, float, flo
         for _attempt in range(200):
             rx = _draw1(rng, MIN_RADIUS, MAX_RADIUS)
             ry = _draw1(rng, MIN_RADIUS, MAX_RADIUS)
-            cx = _draw1(rng, rx + 2.0, size - 2.0 - rx)
-            cy = _draw1(rng, ry + 2.0, size - 2.0 - ry)
+            cx = _draw1(rng, rx + EDGE_MARGIN, size - EDGE_MARGIN - rx)
+            cy = _draw1(rng, ry + EDGE_MARGIN, size - EDGE_MARGIN - ry)
             ok = True
             for (ox, oy, orx, ory) in blobs:
                 same_cell = (int(cx / cell) == int(ox / cell)
@@ -84,10 +87,12 @@ def generate_dataset(n_images: int, seed: int, out_dir: str | Path,
     """Write ``n_images`` PPM images plus ``gts.jsonl`` into ``out_dir``.
 
     Returns the ground-truth records.  Deterministic per (n_images, seed,
-    image_size).
+    image_size); ``image_size`` must be at least ``MIN_IMAGE_SIZE``.
     """
     if n_images <= 0:
         raise ValueError("n_images must be positive")
+    if image_size < MIN_IMAGE_SIZE:
+        raise ValueError(f"image_size must be at least {MIN_IMAGE_SIZE}, got {image_size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(seed)

@@ -194,30 +194,22 @@ def from_array(arr, requires_grad: bool = False) -> Tensor:
     return Tensor(a, requires_grad=requires_grad)
 
 
-def scalar(value: float, requires_grad: bool = False) -> Tensor:
-    """A (1, 1, 1, 1) tensor holding one value."""
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=_default_dtype.get()), requires_grad=requires_grad)
+def scalar(value: float) -> Tensor:
+    """A (1, 1, 1, 1) constant holding one value."""
+    return Tensor(np.full((1, 1, 1, 1), value, dtype=_default_dtype.get()))
 
 
-def zeros(shape: tuple[int, int, int, int], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_default_dtype.get()), requires_grad=requires_grad)
+def zeros(shape: tuple[int, int, int, int]) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=_default_dtype.get()))
 
 
-def uniform(shape: tuple[int, int, int, int], rng: Rng, lo: float = 0.0, hi: float = 1.0,
-            requires_grad: bool = False) -> Tensor:
-    """Uniform draws in [lo, hi) shaped into a rank-4 tensor."""
-    n = int(np.prod(shape))
-    vals = rng.uniform64(n, lo, hi).astype(_default_dtype.get()).reshape(shape)
-    return Tensor(vals, requires_grad=requires_grad)
-
-
-def kaiming_uniform(shape: tuple[int, int, int, int], rng: Rng, fan_in: int,
-                    requires_grad: bool = False) -> Tensor:
-    """Uniform draws in +-sqrt(6 / fan_in), the ReLU-family init bound."""
+def kaiming_uniform(shape: tuple[int, int, int, int], rng: Rng, fan_in: int) -> Parameter:
+    """A parameter of uniform draws in +-sqrt(6 / fan_in), the ReLU-family init bound."""
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     bound = math.sqrt(6.0 / fan_in)
-    return uniform(shape, rng, -bound, bound, requires_grad=requires_grad)
+    vals = rng.uniform64(int(np.prod(shape)), -bound, bound)
+    return Parameter(vals.astype(_default_dtype.get()).reshape(shape))
 
 
 # -- elementwise unary -----------------------------------------------------------

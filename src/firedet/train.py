@@ -1,8 +1,8 @@
 """Toy-scale training: decoupled-weight-decay Adam over a full-batch loop.
 
 The optimizer follows the standard Adam moment recursion (β1 = 0.9,
-β2 = 0.999, bias-corrected) with weight decay applied directly to the
-parameters rather than folded into the gradient, and the whole update —
+β2 = 0.999, ε = 1e-8, bias-corrected) with weight decay applied directly to
+the parameters rather than folded into the gradient, and the whole update —
 decay included — is scaled by the learning rate, so lr = 0 leaves the
 parameters bit-identical.  The training set is consumed as one batch per
 step, which removes data-order nondeterminism.
@@ -32,14 +32,16 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     def __init__(self, params: list[Parameter], lr: float = 0.002,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -51,15 +53,15 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p.data -= (self.lr * (update + self.weight_decay * p.data)).astype(p.data.dtype)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from firedet import synth
 from firedet.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from firedet.fileio import (image_to_input, letterbox, letterbox_box, read_ppm,
                             unletterbox_box, write_ppm)
@@ -111,6 +112,18 @@ def test_synth_rejects_bad_arguments(tmp_path):
     assert main(["synth", "--n", "0", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert main(["synth", "--n", "2", "--image-size", "8",
                  "--out", str(tmp_path / "y")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("size", [16, 19])
+def test_synth_image_size_must_fit_the_largest_blob(tmp_path, capsys, size):
+    # A blob of MAX_RADIUS with its EDGE_MARGIN on both sides needs 20 px.
+    assert main(["synth", "--n", "2", "--image-size", str(size),
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "--image-size" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="image_size"):
+        synth.generate_dataset(1, 0, tmp_path / "y", image_size=size)
+    assert main(["synth", "--n", "4", "--image-size", str(synth.MIN_IMAGE_SIZE),
+                 "--out", str(tmp_path / "z")]) == EXIT_OK
 
 
 # -- gradcheck ------------------------------------------------------------------------
@@ -324,6 +337,14 @@ def test_profile_output_matches_golden(config, flags, capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["0", "100", "-32"])
+def test_profile_input_must_be_a_positive_multiple_of_32(config_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--config", config_path, "--input", value])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--input" in capsys.readouterr().err
+
+
 # -- train-toy ------------------------------------------------------------------------
 
 
@@ -351,6 +372,19 @@ def test_train_toy_zero_learning_rate_keeps_parameters(tmp_path, config_path,
     assert changed != []  # running statistics did update in training mode
     assert all(name.rsplit(".", 1)[-1] in ("running_mean", "running_var")
                for name in changed)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+    ("--weight-decay", "-0.5"), ("--weight-decay", "nan"),
+])
+def test_optimizer_flags_require_a_finite_non_negative_value(
+        tmp_path, config_path, dataset_dir, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-toy", "--config", config_path, "--data", str(dataset_dir),
+              "--steps", "1", "--out", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
 
 
 def test_train_toy_rejects_bad_steps(tmp_path, config_path, dataset_dir, capsys):

@@ -1,12 +1,17 @@
 """Model graph: build determinism, forward shapes, decode, NMS, archive."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from firedet.fileio import load_config
 from firedet.model import (ConfigError, Detection, Model, ModelConfig, STRIDES,
                            build, cell_box, decode, nms)
+from firedet.profiler import VARIANTS, variant_config
 from firedet.rng import Rng
 from firedet.tensor import from_array, using_dtype
 from firedet.weights import (ArchiveError, load_records, load_weights,
@@ -15,6 +20,8 @@ from firedet.weights import (ArchiveError, load_records, load_weights,
 from oracles import nms_ref
 
 TOY = ModelConfig(num_classes=1, input_size=64, width_mult=0.125)
+REPO = Path(__file__).resolve().parent.parent
+ARCHIVE_GOLDEN = REPO / "tests" / "data" / "archives.json"
 
 
 def toy_maps(num_classes=1, batch=1, fill=0.0, dtype=np.float32):
@@ -287,6 +294,20 @@ def test_save_rejects_non_finite_and_f16_overflowing_values():
 def test_save_records_rejects_unknown_precision():
     with pytest.raises(ArchiveError):
         save_records([("w", np.zeros((2, 2), dtype=np.float32))], precision="f64")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("config", ["baseline", "air", "dpdf", "full", "toy"])
+def test_seeded_archive_matches_golden(config, variant):
+    # Length and SHA-256 of the seeded archives of configs/full.json and
+    # configs/toy.json.  The other 640-px configs differ from full.json only in
+    # the two flags variant_config sets.  A renamed, reordered or differently
+    # drawn parameter changes the hash.
+    golden = json.loads(ARCHIVE_GOLDEN.read_text())["toy" if config == "toy" else "full"]
+    cfg = variant_config(load_config(REPO / "configs" / f"{config}.json"), variant)
+    data = save_weights(build(cfg, Rng(0)))
+    assert (len(data), hashlib.sha256(data).hexdigest()) == \
+        (golden[variant]["bytes"], golden[variant]["sha256"])
 
 
 # -- configuration validation ------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import naive_conv2d, naive_linear, naive_partial_conv, naive_pool2d
 
-from firedet.nn import (BatchNorm, Conv2dSpec, concat_channels, conv2d,
+from firedet.nn import (BN_EPS, BatchNorm, Conv2dSpec, concat_channels, conv2d,
                         global_avg_pool, identity_kernel, linear, partial_conv,
                         pool2d, upsample_nearest)
 from firedet.rng import Rng
@@ -163,7 +163,7 @@ def test_conv2d_pointwise_is_channel_matrix():
 
 def test_batch_norm_train_normalizes_and_updates_running_stats():
     with using_dtype(np.float64):
-        bn = BatchNorm(2, momentum=0.1)
+        bn = BatchNorm(2)
         rng = Rng(3)
         x = arr(rng, (4, 2, 3, 3), -2.0, 5.0)
         out = bn(from_array(x), training=True).data
@@ -172,7 +172,7 @@ def test_batch_norm_train_normalizes_and_updates_running_stats():
             var_c = x[:, c].var()  # biased
             assert abs(out[:, c].mean()) < 1e-10
             # normalizing by sqrt(var + eps) leaves variance var/(var + eps)
-            assert out[:, c].var() == pytest.approx(var_c / (var_c + bn.eps), abs=1e-12)
+            assert out[:, c].var() == pytest.approx(var_c / (var_c + BN_EPS), abs=1e-12)
             assert bn.running_mean.reshape(-1)[c] == pytest.approx(0.1 * mean_c)
             assert bn.running_var.reshape(-1)[c] == pytest.approx(0.9 + 0.1 * var_c)
 
@@ -180,8 +180,8 @@ def test_batch_norm_train_normalizes_and_updates_running_stats():
 def test_batch_norm_eval_uses_running_stats():
     with using_dtype(np.float64):
         bn = BatchNorm(1)
-        bn.set_buffer("running_mean", np.full((1, 1, 1, 1), 2.0))
-        bn.set_buffer("running_var", np.full((1, 1, 1, 1), 4.0))
+        bn.running_mean[...] = 2.0
+        bn.running_var[...] = 4.0
         x = from_array(np.full((1, 1, 1, 1), 6.0))
         # (6 - 2) / sqrt(4 + eps) ~= 2
         assert bn(x, training=False).item() == pytest.approx(2.0, rel=1e-5)
