@@ -25,6 +25,9 @@ from .tensor import (Parameter, atan, from_array, grad_check, maximum, minimum,
 
 UNIT_TOL = 1e-5
 MODEL_TOL = 1e-4
+NULL_FLOOR = 1e-6  # largest |gradient| that _null_direction_guard probes
+NULL_EPS = 1e-4  # its central-difference step along the probe direction
+NULL_SEED = 99  # seed of its +-1 probe directions
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,7 @@ def _check(name: str, fn, params, tol: float = UNIT_TOL,
     return CheckResult(name, err, tol)
 
 
-def _null_direction_guard(fn, params, floor: float = 1e-6, eps: float = 1e-4,
-                          seed: int = 99) -> float:
+def _null_direction_guard(fn, params) -> float:
     """Directional probe for parameters whose analytic gradient is ~zero.
 
     Normalization layers in train mode cancel some upstream directions
@@ -71,23 +73,23 @@ def _null_direction_guard(fn, params, floor: float = 1e-6, eps: float = 1e-4,
         p.zero_grad()
     out = fn()
     out.backward()
-    rng = Rng(seed)
+    rng = Rng(NULL_SEED)
     worst = 0.0
     for p in params:
         a = np.zeros_like(p.data) if p.grad is None else p.grad
-        if np.abs(a).max() >= floor:
+        if np.abs(a).max() >= NULL_FLOOR:
             continue
         u = np.asarray(rng.uniform64(p.data.size)).reshape(p.shape)
         d = np.where(u < 0.5, -1.0, 1.0)
         saved = p.data.copy()
-        p.data[...] = saved + eps * d
+        p.data[...] = saved + NULL_EPS * d
         with no_grad():
             hi = fn().item()
-        p.data[...] = saved - eps * d
+        p.data[...] = saved - NULL_EPS * d
         with no_grad():
             lo = fn().item()
         p.data[...] = saved
-        numeric = (hi - lo) / (2.0 * eps)
+        numeric = (hi - lo) / (2.0 * NULL_EPS)
         worst = max(worst, abs(float((a * d).sum()) - numeric))
     return worst
 

@@ -28,7 +28,8 @@ from .model import ConfigError, Model, ModelConfig, build
 from .profiler import VARIANTS, ablation_report, profile, variant_config
 from .rng import Rng
 from .synth import MIN_IMAGE_SIZE, generate_dataset
-from .train import TrainingDiverged, detect_batch, evaluate_model, load_dataset, train_toy
+from .train import (LR, WEIGHT_DECAY, TrainingDiverged, detect_batch, evaluate_model,
+                    load_dataset, train_toy)
 from .weights import ArchiveError, load_weights, save_weights
 
 EXIT_OK = 0
@@ -40,13 +41,15 @@ DEFAULT_SEED = 0
 
 
 def _load_model(args, config: ModelConfig) -> Model:
-    model = build(config, Rng(args.seed))
-    if getattr(args, "weights", None):
-        try:
-            data = Path(args.weights).read_bytes()
-        except OSError as exc:
-            raise FileFormatError(f"cannot read weights {args.weights}: {exc}") from None
-        load_weights(data, model)
+    """The seeded init, or with ``--weights`` an undrawn model loaded from the archive."""
+    if not getattr(args, "weights", None):
+        return build(config, Rng(args.seed))
+    try:
+        data = Path(args.weights).read_bytes()
+    except OSError as exc:
+        raise FileFormatError(f"cannot read weights {args.weights}: {exc}") from None
+    model = build(config)
+    load_weights(data, model)
     return model
 
 
@@ -240,9 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="directory from `synth`")
     p.add_argument("--steps", type=int, default=150)
-    p.add_argument("--lr", type=_non_negative, default=0.002,
+    p.add_argument("--lr", type=_non_negative, default=LR,
                    help="learning rate, finite and >= 0; 0 changes no parameter")
-    p.add_argument("--weight-decay", type=_non_negative, default=0.0,
+    p.add_argument("--weight-decay", type=_non_negative, default=WEIGHT_DECAY,
                    help="decoupled weight decay, finite and >= 0")
     p.add_argument("--precision", choices=("f32", "f16"), default="f32",
                    help="weight archive precision")

@@ -240,8 +240,13 @@ class Model(Module):
         return [head(p, training=training) for head, p in zip(self.heads, (p3, p4, p5))]
 
 
-def build(config: ModelConfig, rng: Rng) -> Model:
-    """Construct a model with all parameters drawn deterministically from rng."""
+def build(config: ModelConfig, rng: Rng | None = None) -> Model:
+    """Construct a model with all parameters drawn deterministically from rng.
+
+    ``rng=None`` means "allocate only; load an archive next": the weights
+    that would be drawn are zeros and no draw is made, while names, shapes
+    and the constant initial values (BatchNorm scales, biases) are the same
+    as for a seeded build."""
     return Model(config, rng)
 
 
@@ -314,6 +319,9 @@ def cell_box(raw: Tensor, batch: int, i: int, j: int, stride: int,
 # -- non-maximum suppression ------------------------------------------------------------
 
 
+NMS_BLOCK = 256  # candidate ranks resolved together in one step of :func:`nms`
+
+
 def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy per-class suppression.
 
@@ -322,8 +330,13 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     of the same class is strictly below the threshold.  Output order is keep
     order, so scores are non-increasing within each class.
 
-    Cost: one sort, then one vector pass per kept box over its class's
-    surviving candidates; memory is O(n), no n x n IoU matrix is formed.
+    Cost: one sort, then each class is resolved in blocks of
+    :data:`NMS_BLOCK` ranks (:func:`_sweep`), so a frame where nothing is
+    suppressed takes O(n / NMS_BLOCK) vector steps, not one per kept box.
+    Only overlapping boxes are compared, which is exact at a positive
+    threshold (IoU 0 suppresses nothing); at a threshold <= 0 every
+    same-class pair of finite boxes conflicts, so each class keeps its first
+    box.  Extra memory is O(NMS_BLOCK x kept boxes in a box's x-window).
     :func:`boxes.iou_xyxy` is bitwise symmetric, so the keep set equals that
     of testing each candidate against the kept boxes one at a time.
     """
@@ -335,10 +348,66 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     order = np.lexsort((np.arange(len(dets)), classes, -scores))
     keep = np.zeros(len(dets), dtype=bool)
     for cls in {d.class_id for d in dets}:  # not np.unique: it imports numpy.ma
-        alive = order[classes[order] == cls]
-        xy = corners[alive]
-        while alive.size:
-            keep[alive[0]] = True
-            survive = ~(iou_xyxy(xy[0], xy[1:]) >= iou_threshold)
-            alive, xy = alive[1:][survive], xy[1:][survive]
+        ranked = order[classes[order] == cls]
+        if iou_threshold <= 0:
+            keep[ranked[0]] = True
+        else:
+            keep[ranked[_sweep(corners[ranked], iou_threshold)]] = True
     return [dets[i] for i in order if keep[i]]
+
+
+def _sweep(xy: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Keep mask of greedy NMS over the score-ranked corner boxes of one class.
+
+    A block is first tested against the kept boxes of earlier blocks, whose
+    fate is final, and then against itself: there a box suppresses another
+    only if it is itself still free when its rank comes.  Needs
+    ``iou_threshold > 0``, as only overlapping boxes are compared.
+    """
+    cols = np.ascontiguousarray(xy.T)  # rows x1, y1, x2, y2
+    kept = np.zeros(len(xy), dtype=bool)
+    index = np.empty(0, dtype=np.intp)  # kept ranks, ascending x1
+    for start in range(0, len(xy), NMS_BLOCK):
+        free = np.ones(min(NMS_BLOCK, len(xy) - start), dtype=bool)
+        _, lost = _conflicts(xy, cols, index, start + np.arange(free.size), iou_threshold)
+        free[lost - start] = False
+        ranks = start + np.flatnonzero(free)
+        by, lost = _conflicts(xy, cols, ranks[np.argsort(cols[0, ranks], kind="stable")],
+                              ranks, iou_threshold)
+        if by.size:
+            conflict = np.zeros((free.size, free.size), dtype=bool)
+            conflict[by - start, lost - start] = True
+            for i in np.flatnonzero(conflict.any(axis=1)):  # rank order
+                if free[i]:
+                    free[conflict[i]] = False
+        ranks = start + np.flatnonzero(free)
+        kept[ranks] = True
+        index = np.concatenate([index, ranks])
+        index = index[np.argsort(cols[0, index], kind="stable")]
+    return kept
+
+
+def _conflicts(xy: np.ndarray, cols: np.ndarray, pool: np.ndarray, ranks: np.ndarray,
+               iou_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(higher, lower) rank pairs, ``higher`` from ``pool`` and ``lower`` from
+    ``ranks``, with IoU at or above the threshold.
+
+    ``pool`` is sorted by x1.  For a box q, the pool boxes with x1 < x2_q
+    form a prefix of it, and those before the first running maximum of x2
+    above x1_q end at or left of x1_q: every pool box whose x-extent can
+    overlap q lies between the two.  Within that window an IoU is computed
+    only where the x- and y-ranges overlap.
+    """
+    x1, y1, x2, y2 = cols[:, pool]
+    qx1, qy1, qx2, qy2 = cols[:, ranks]
+    hi = np.searchsorted(x1, qx2, side="left")
+    lo = np.searchsorted(np.maximum.accumulate(x2), qx1, side="right")
+    span = np.maximum(hi - lo, 0)
+    slot = np.arange(span.sum()) + np.repeat(lo - np.cumsum(span) + span, span)
+    near = ((np.repeat(qx1, span) < x2[slot]) & (y1[slot] < np.repeat(qy2, span))
+            & (np.repeat(qy1, span) < y2[slot]))
+    lower, higher = np.repeat(ranks, span)[near], pool[slot[near]]
+    pair = higher < lower
+    lower, higher = lower[pair], higher[pair]
+    hit = iou_xyxy(xy[higher], xy[lower]) >= iou_threshold
+    return higher[hit], lower[hit]

@@ -79,9 +79,18 @@ def count_params(model: Model) -> tuple[dict[str, int], int]:
     return groups, sum(groups.values())
 
 
+def _input_size(model: Model, input_size: int | None) -> int:
+    """``input_size``, or the config's when it is None; it must be positive."""
+    if input_size is None:
+        return model.config.input_size
+    if input_size <= 0:
+        raise ValueError(f"input_size must be positive, got {input_size}")
+    return input_size
+
+
 def count_macs(model: Model, input_size: int | None = None) -> tuple[dict[str, int], int]:
     """Per-group and total MACs for a single image at the given input size."""
-    size = input_size or model.config.input_size
+    size = _input_size(model, input_size)
     tally: dict = {}
     with no_grad(), mac_counting(tally):
         model(zeros((1, 3, size, size)), training=False)
@@ -100,7 +109,7 @@ def size_bytes(model: Model, precision: str) -> int:
 
 def profile(model: Model, input_size: int | None = None) -> ProfileReport:
     """Full per-block and total accounting for one model."""
-    size = input_size or model.config.input_size
+    size = _input_size(model, input_size)
     param_groups, total_params = count_params(model)
     mac_groups, total_macs = count_macs(model, size)
     keys = sorted(set(param_groups) | set(mac_groups))

@@ -203,10 +203,16 @@ def zeros(shape: tuple[int, int, int, int]) -> Tensor:
     return Tensor(np.zeros(shape, dtype=_default_dtype.get()))
 
 
-def kaiming_uniform(shape: tuple[int, int, int, int], rng: Rng, fan_in: int) -> Parameter:
-    """A parameter of uniform draws in +-sqrt(6 / fan_in), the ReLU-family init bound."""
+def kaiming_uniform(shape: tuple[int, int, int, int], rng: Rng | None, fan_in: int) -> Parameter:
+    """A parameter of uniform draws in +-sqrt(6 / fan_in), the ReLU-family init bound.
+
+    With ``rng`` None it is zeros and nothing is drawn: the values are about
+    to be overwritten by a weight archive.
+    """
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
+    if rng is None:
+        return Parameter(np.zeros(shape, dtype=_default_dtype.get()))
     bound = math.sqrt(6.0 / fan_in)
     vals = rng.uniform64(int(np.prod(shape)), -bound, bound)
     return Parameter(vals.astype(_default_dtype.get()).reshape(shape))

@@ -35,11 +35,12 @@ class TrainingDiverged(RuntimeError):
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+LR = 0.002  # default learning rate of train_toy and the train-toy flag
+WEIGHT_DECAY = 0.0  # default decoupled weight decay, likewise
 
 
 class AdamW:
-    def __init__(self, params: list[Parameter], lr: float = 0.002,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: list[Parameter], lr: float, weight_decay: float):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
@@ -113,7 +114,7 @@ class TrainResult:
 
 
 def train_toy(model: Model, config: ModelConfig, dataset: ToyDataset,
-              steps: int, lr: float = 0.002, weight_decay: float = 0.0,
+              steps: int, lr: float = LR, weight_decay: float = WEIGHT_DECAY,
               log=None) -> TrainResult:
     """Full-batch training loop.  Raises TrainingDiverged on non-finite loss.
 

@@ -8,12 +8,13 @@ import pytest
 
 from firedet import synth
 from firedet.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from firedet.fileio import (image_to_input, letterbox, letterbox_box, read_ppm,
+from firedet.fileio import (image_to_input, letterbox, letterbox_box, load_config, read_ppm,
                             unletterbox_box, write_ppm)
 from firedet.model import ModelConfig, build
 from firedet.rng import Rng
 from firedet.tensor import Tensor
-from firedet.weights import load_records, save_weights
+from firedet.train import load_dataset, train_toy
+from firedet.weights import load_records, load_weights, save_weights
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILE_GOLDEN = Path(__file__).resolve().parent / "data" / "profile"
@@ -194,6 +195,25 @@ def test_infer_exit_codes(tmp_path, config_path, dataset_dir):
                  "--weights", str(nan_weights)]) == EXIT_IO
 
 
+def test_infer_with_weights_draws_nothing_and_ignores_the_seed(
+        tmp_path, config_path, dataset_dir, monkeypatch):
+    weights = tmp_path / "weights.bin"
+    weights.write_bytes(save_weights(build(load_config(config_path), Rng(3))))
+
+    def no_draws(*args):
+        raise AssertionError("an init draw was made")
+
+    monkeypatch.setattr(Rng, "uniform64", no_draws)
+    outs = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"dets{seed}.jsonl"
+        assert main(["infer", str(dataset_dir / "000.ppm"), "--config", config_path,
+                     "--weights", str(weights), "--score-threshold", "0.001",
+                     "--seed", seed, "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] != b""
+
+
 def test_threads_flag_is_infer_only_and_positive(config_path, dataset_dir, capsys):
     image = str(dataset_dir / "000.ppm")
     assert main(["infer", image, "--config", config_path, "--threads", "0"]) == EXIT_CONFIG
@@ -372,6 +392,25 @@ def test_train_toy_zero_learning_rate_keeps_parameters(tmp_path, config_path,
     assert changed != []  # running statistics did update in training mode
     assert all(name.rsplit(".", 1)[-1] in ("running_mean", "running_var")
                for name in changed)
+
+
+def test_train_toy_with_weights_trains_like_a_seeded_build_loaded_from_them(
+        tmp_path, config_path, dataset_dir):
+    config = load_config(config_path)
+    blob = save_weights(build(config, Rng(3)))
+    weights = tmp_path / "weights.bin"
+    weights.write_bytes(blob)
+    model = build(config, Rng(0))
+    load_weights(blob, model)
+    losses = train_toy(model, config, load_dataset(dataset_dir, config), steps=3).losses
+    for seed in ("0", "7"):
+        out_dir = tmp_path / f"run{seed}"
+        assert main(["train-toy", "--config", config_path, "--data", str(dataset_dir),
+                     "--steps", "3", "--weights", str(weights), "--seed", seed,
+                     "--out", str(out_dir)]) == EXIT_OK
+        curve = (out_dir / "loss_curve.jsonl").read_text().splitlines()
+        assert [json.loads(line)["loss"] for line in curve] == [round(v, 6) for v in losses]
+        assert (out_dir / "weights.bin").read_bytes() == save_weights(model)
 
 
 @pytest.mark.parametrize("flag, value", [

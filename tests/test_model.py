@@ -1,23 +1,28 @@
 """Model graph: build determinism, forward shapes, decode, NMS, archive."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from firedet import model as model_module
 from firedet.fileio import load_config
 from firedet.model import (ConfigError, Detection, Model, ModelConfig, STRIDES,
                            build, cell_box, decode, nms)
 from firedet.profiler import VARIANTS, variant_config
 from firedet.rng import Rng
-from firedet.tensor import from_array, using_dtype
-from firedet.weights import (ArchiveError, load_records, load_weights,
+from firedet.tensor import from_array, no_grad, using_dtype
+from firedet.weights import (ArchiveError, load_records, load_weights, model_records,
                              save_records, save_weights)
 
-from oracles import nms_ref
+from oracles import nms_passes, nms_ref
 
 TOY = ModelConfig(num_classes=1, input_size=64, width_mult=0.125)
 REPO = Path(__file__).resolve().parent.parent
@@ -41,6 +46,26 @@ def test_build_is_deterministic_per_seed():
     assert a.keys() == b.keys() == c.keys()
     assert all(np.array_equal(a[k].data, b[k].data) for k in a)
     assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
+
+
+@pytest.mark.parametrize("config", ["toy", "full"])
+def test_build_without_rng_allocates_the_seeded_layout_undrawn(config):
+    cfg = load_config(REPO / "configs" / f"{config}.json")
+    undrawn, seeded, other = build(cfg, None), build(cfg, Rng(0)), build(cfg, Rng(1))
+
+    def layout(model):
+        return [(name, arr.shape, arr.dtype) for name, arr in model_records(model)]
+
+    assert layout(undrawn) == layout(seeded)
+    drawn = 0
+    for (name, got), (_, zero_seed), (_, one_seed) in zip(
+            model_records(undrawn), model_records(seeded), model_records(other)):
+        if np.array_equal(zero_seed, one_seed):  # a constant init: BN scale, bias, ...
+            assert np.array_equal(got, zero_seed), name
+        else:  # drawn from the Rng by a seeded build
+            assert not got.any(), name
+            drawn += got.size
+    assert drawn > 0.9 * sum(p.size for p in undrawn.parameters())
 
 
 def test_forward_map_shapes_and_input_validation():
@@ -212,6 +237,64 @@ def test_nms_tie_break_by_class_then_input_order():
     d2 = Detection(0, 0.5, (0.5, 0.5, 0.1, 0.1))
     kept = nms([d0, d1, d2], 0.45)
     assert kept == [d1, d2, d0]  # same score: lower class first, then input order
+
+
+@pytest.mark.parametrize("size, cells", [(256, 1344), (640, 8400)])
+def test_nms_matches_per_pass_reference_on_dense_decoded_frames(size, cells):
+    """The mAP protocol's worst case: every cell a candidate, none suppressed."""
+    cfg = dataclasses.replace(load_config(REPO / "configs" / "full.json"), input_size=size)
+    image = np.asarray(Rng(3).uniform64(3 * size * size)).reshape(1, 3, size, size)
+    with no_grad():
+        dets = decode(build(cfg, Rng(0))(from_array(image)), cfg, score_threshold=0.001)
+    assert len(dets) == cells
+    kept = nms(dets, cfg.nms_iou_threshold)
+    assert kept == nms_passes(dets, cfg.nms_iou_threshold)
+    assert len(kept) == cells
+
+
+def _grid_of_disjoint_boxes(n, columns):
+    rows = -(-n // columns)
+    return [Detection(0, (i % 97) / 97, ((i % columns + 0.5) / columns,
+                                         (i // columns + 0.5) / rows,
+                                         0.5 / columns, 0.5 / rows))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("case", ["identical", "disjoint"])
+def test_nms_on_8400_identical_or_disjoint_boxes_is_exact_in_bounded_memory(case):
+    if case == "identical":
+        dets, expect = [Detection(0, 0.5, (0.5, 0.5, 0.2, 0.2))] * 8400, 1
+    else:
+        dets, expect = _grid_of_disjoint_boxes(8400, 105), 8400
+    tracemalloc.start()
+    try:
+        kept = nms(dets, 0.45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == expect
+    assert kept == nms_passes(dets, 0.45)
+    assert peak < 64 * 2 ** 20
+
+
+# Coarse grids make duplicate boxes, exact-threshold IoUs and score ties
+# common; zero sizes give zero-area boxes.  Small blocks make the greedy walk
+# cross block boundaries, where kept boxes are found through the x-index.
+_NMS_CENTERS = (0.2, 0.3, 0.4, 0.5)
+_NMS_SIZES = (0.0, 0.1, 0.2, 0.4)
+_NMS_DETS = st.lists(st.builds(
+    Detection, class_id=st.integers(0, 1), score=st.sampled_from((0.1, 0.5, 0.9)),
+    box=st.tuples(st.sampled_from(_NMS_CENTERS), st.sampled_from(_NMS_CENTERS),
+                  st.sampled_from(_NMS_SIZES), st.sampled_from(_NMS_SIZES))),
+    max_size=40)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(dets=_NMS_DETS, iou_threshold=st.sampled_from((0.0, 0.25, 0.45, 0.5, 1.0)),
+       block=st.sampled_from((1, 3, 8, model_module.NMS_BLOCK)))
+def test_nms_matches_quadratic_reference_on_generated_detections(dets, iou_threshold, block):
+    with mock.patch.object(model_module, "NMS_BLOCK", block):
+        assert nms(dets, iou_threshold) == nms_ref(dets, iou_threshold)
 
 
 # -- weight archive ------------------------------------------------------------------------

@@ -138,6 +138,17 @@ def test_count_macs_rejects_unaligned_input():
         count_macs(model, 100)
 
 
+@pytest.mark.parametrize("size", [0, -32])
+def test_only_none_means_the_config_input_size(size):
+    model = build(CFG, Rng(0))
+    assert profile(model, None).input_size == CFG.input_size
+    for call in (count_macs, profile):
+        with pytest.raises(ValueError, match="input_size must be positive"):
+            call(model, size)
+    with pytest.raises(ValueError, match="input_size must be positive"):
+        ablation_report(CFG, size)
+
+
 def test_profile_report_consistency():
     model = build(CFG, Rng(0))
     report = profile(model)
