@@ -42,15 +42,15 @@ class ConvBn(Module):
                                       padding=kernel // 2, groups=groups, has_bias=False), rng)
         self.bn = BatchNorm(out_channels)
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        return self.bn(self.conv(x), training=training)
+    def forward(self, x: Tensor) -> Tensor:
+        return self.bn(self.conv(x))
 
 
 class Cbs(ConvBn):
     """Conv-BatchNorm-SiLU: a :class:`ConvBn` whose output passes a SiLU."""
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        return super().forward(x, training=training).silu()
+    def forward(self, x: Tensor) -> Tensor:
+        return super().forward(x).silu()
 
 
 class AirBlock(Module):
@@ -71,11 +71,11 @@ class AirBlock(Module):
         self.attn = CasAttention(reduced, rng)
         self.expand = ConvBn(reduced, channels, kernel=1, rng=rng)
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        h = self.reduce(x, training=training).relu()
-        h = self.dw(h, training=training).relu()
+    def forward(self, x: Tensor) -> Tensor:
+        h = self.reduce(x).relu()
+        h = self.dw(h).relu()
         h = self.attn(h)
-        return self.expand(h, training=training) + x
+        return self.expand(h) + x
 
 
 class DpdfBlock(Module):
@@ -112,10 +112,10 @@ class DpdfBlock(Module):
         fused = alpha * path_max + (1.0 - alpha) * path_avg
         return fused, path_max, path_avg
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         fused, _, _ = self.fuse_paths(x)
         if self.project is not None:
-            fused = self.project(fused, training=training)
+            fused = self.project(fused)
         return fused
 
 
@@ -128,8 +128,8 @@ class Bottleneck(Module):
         self.cv2 = Cbs(channels, channels, 3, rng)
         self.shortcut = shortcut
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        y = self.cv2(self.cv1(x, training=training), training=training)
+    def forward(self, x: Tensor) -> Tensor:
+        y = self.cv2(self.cv1(x))
         return y + x if self.shortcut else y
 
 
@@ -151,13 +151,13 @@ class CspBlock(Module):
         self.bottlenecks = ModuleList([Bottleneck(self.hidden, rng, shortcut) for _ in range(n)])
         self.cv2 = Cbs((2 + n) * self.hidden, out_channels, 1, rng)
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        y = self.cv1(x, training=training)
+    def forward(self, x: Tensor) -> Tensor:
+        y = self.cv1(x)
         h = self.hidden
         parts = [slice4(y, c=slice(0, h)), slice4(y, c=slice(h, 2 * h))]
         for b in self.bottlenecks:
-            parts.append(b(parts[-1], training=training))
-        return self.cv2(concat_channels(parts), training=training)
+            parts.append(b(parts[-1]))
+        return self.cv2(concat_channels(parts))
 
 
 class Sppf(Module):
@@ -169,12 +169,12 @@ class Sppf(Module):
         self.cv1 = Cbs(in_channels, hidden, 1, rng)
         self.cv2 = Cbs(4 * hidden, out_channels, 1, rng)
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        y0 = self.cv1(x, training=training)
+    def forward(self, x: Tensor) -> Tensor:
+        y0 = self.cv1(x)
         y1 = pool2d(y0, "max", kernel=5, stride=1, padding=2)
         y2 = pool2d(y1, "max", kernel=5, stride=1, padding=2)
         y3 = pool2d(y2, "max", kernel=5, stride=1, padding=2)
-        return self.cv2(concat_channels([y0, y1, y2, y3]), training=training)
+        return self.cv2(concat_channels([y0, y1, y2, y3]))
 
 
 # -- closed-form parameter counts (cross-checks for the generic profiler) ----------

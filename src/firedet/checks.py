@@ -18,7 +18,7 @@ from .blocks import AirBlock, Cbs, CspBlock, DpdfBlock, Sppf
 from .losses import GroundTruth, detection_loss
 from .model import ModelConfig, build
 from .nn import (BatchNorm, Conv2dSpec, Linear, PartialConv, concat_channels,
-                 conv2d, global_avg_pool, pool2d, upsample_nearest)
+                 conv2d, global_avg_pool, pool2d, train_mode, upsample_nearest)
 from .rng import Rng
 from .tensor import (Parameter, atan, from_array, grad_check, maximum, minimum,
                      no_grad, slice4, tsum, using_dtype)
@@ -28,6 +28,7 @@ MODEL_TOL = 1e-4
 NULL_FLOOR = 1e-6  # largest |gradient| that _null_direction_guard probes
 NULL_EPS = 1e-4  # its central-difference step along the probe direction
 NULL_SEED = 99  # seed of its +-1 probe directions
+MODEL_ELEMENTS = 1  # elements probed per parameter by the model and pipeline checks
 
 
 @dataclass(frozen=True)
@@ -157,16 +158,13 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
         bn.gamma.data = np.asarray(rng.uniform64(4, 0.5, 1.5)).reshape(bn.gamma.shape)
         bn.beta.data = np.asarray(rng.uniform64(4, -0.5, 0.5)).reshape(bn.beta.shape)
         xb = _param(rng, (3, 4, 4, 4))
-        bn_stats = _frozen_stats(bn)
 
         def f_bn_train():
-            out = tsum(bn(xb, training=True).silu())
-            _restore(bn_stats)
-            return out
+            return tsum(_train_forward(bn, xb).silu())
         results.append(_check("batch_norm_train", f_bn_train, [xb, bn.gamma, bn.beta]))
 
         def f_bn_eval():
-            return tsum(bn(xb, training=False).silu())
+            return tsum(bn(xb).silu())
         results.append(_check("batch_norm_eval", f_bn_eval, [xb, bn.gamma, bn.beta]))
 
         # pooling / resampling
@@ -213,17 +211,6 @@ def block_checks(seed: int = 0) -> list[CheckResult]:
         ca = ChannelCalibrate(8, rng)
         results.append(_check("channel_calibrate", lambda: tsum(ca(x)), [x, *ca.parameters()]))
 
-        def train_mode_loss(module):
-            """sum(module(x, training=True)) with running stats restored, so
-            repeated evaluations are pure."""
-            saved = _frozen_stats(module)
-
-            def f():
-                out = tsum(module(x, training=True))
-                _restore(saved)
-                return out
-            return f
-
         def block_suite(name, module):
             """Three checks per block.
 
@@ -239,7 +226,9 @@ def block_checks(seed: int = 0) -> list[CheckResult]:
             """
             params = [x, *module.parameters()]
             results.append(_check(name, lambda: tsum(module(x)), params))
-            f_train = train_mode_loss(module)
+
+            def f_train():
+                return tsum(_train_forward(module, x))
             results.append(_check(f"{name}_train", f_train, params,
                                   max_elements=8, min_analytic=1e-6))
             results.append(CheckResult(f"{name}_train_null",
@@ -259,19 +248,20 @@ def block_checks(seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def _frozen_stats(module):
-    return [(m, m.running_mean.copy(), m.running_var.copy())
-            for _, m in module.named_modules() if isinstance(m, BatchNorm)]
-
-
-def _restore(saved):
-    # Copy back in place: the saved arrays stay pristine across repeated evaluations.
+def _train_forward(module, x):
+    """``module(x)`` in train mode, with the running statistics it updates
+    copied back in place, so repeated evaluations are pure."""
+    saved = [(m, m.running_mean.copy(), m.running_var.copy())
+             for _, m in module.named_modules() if isinstance(m, BatchNorm)]
+    with train_mode():
+        out = module(x)
     for bn_mod, rm, rv in saved:
         bn_mod.running_mean[...] = rm
         bn_mod.running_var[...] = rv
+    return out
 
 
-def model_check(seed: int = 0, max_elements_per_param: int = 1) -> list[CheckResult]:
+def model_check(seed: int = 0) -> list[CheckResult]:
     """End-to-end check of sum(forward) on a (1,3,64,64) toy build.
 
     Uses a smaller step (1e-5) than the unit checks: perturbing an early
@@ -287,22 +277,20 @@ def model_check(seed: int = 0, max_elements_per_param: int = 1) -> list[CheckRes
         model = build(cfg, Rng(seed))
         x = np.asarray(Rng(seed + 1).uniform64(3 * 64 * 64),
                        dtype=np.float64).reshape(1, 3, 64, 64)
-        saved = _frozen_stats(model)
 
         def f():
-            maps = model(from_array(x), training=True)
-            _restore(saved)
+            maps = _train_forward(model, from_array(x))
             total = tsum(maps[0])
             for m in maps[1:]:
                 total = total + tsum(m)
             return total
         results.append(_check("model_sum_forward", f, list(model.parameters()),
-                              tol=MODEL_TOL, max_elements=max_elements_per_param,
+                              tol=MODEL_TOL, max_elements=MODEL_ELEMENTS,
                               eps=1e-5))
     return results
 
 
-def pipeline_check(seed: int = 0, max_elements_per_param: int = 1) -> list[CheckResult]:
+def pipeline_check(seed: int = 0) -> list[CheckResult]:
     """Detection-loss pipeline check on a toy build with multi-image targets."""
     cfg = ModelConfig(num_classes=2, input_size=64, width_mult=0.125)
     gts = [GroundTruth(0, 1, (0.30, 0.40, 0.25, 0.25)),
@@ -314,14 +302,12 @@ def pipeline_check(seed: int = 0, max_elements_per_param: int = 1) -> list[Check
         x = np.asarray(Rng(seed + 1).uniform64(2 * 3 * 64 * 64),
                        dtype=np.float64).reshape(2, 3, 64, 64)
         cache: dict = {}
-        saved = _frozen_stats(model)
 
         def f():
-            maps = model(from_array(x), training=True)
-            _restore(saved)
+            maps = _train_forward(model, from_array(x))
             return detection_loss(maps, gts, cfg, alpha_cache=cache)[0]
         results.append(_check("detection_loss_pipeline", f, list(model.parameters()),
-                              tol=MODEL_TOL, max_elements=max_elements_per_param,
+                              tol=MODEL_TOL, max_elements=MODEL_ELEMENTS,
                               eps=1e-5))
     return results
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs: ``infer``, ``profile``, ``gradcheck``, ``eval``, ``synth``,
-``train-toy``.  Every command is deterministic for a fixed seed; no
-environment variables are consulted.
+``train-toy``.  Every command is deterministic; the four that draw random
+values (``infer``, ``train-toy``, ``synth`` and ``gradcheck``) take
+``--seed``.  No environment variables are consulted.
 
 Exit codes: 0 success; 2 configuration error (bad flags, bad config file);
 3 I/O error (missing/malformed image, weight, or record files); 4 check
@@ -88,9 +89,9 @@ def cmd_profile(args) -> int:
     if args.variant is not None:
         config = variant_config(config, args.variant)
     if args.ablation:
-        print(ablation_report(config, input_size=args.input, seed=args.seed))
+        print(ablation_report(config, input_size=args.input))
         return EXIT_OK
-    model = build(config, Rng(args.seed))
+    model = build(config)
     print(profile(model, input_size=args.input).format_text())
     return EXIT_OK
 
@@ -215,7 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="input size, a positive multiple of 32 (default: the config's)")
     p.add_argument("--ablation", action="store_true",
                    help="print the four-variant comparison grid")
-    common(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")
@@ -228,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gts", required=True, help="ground-truth JSONL")
     p.add_argument("--conf-threshold", type=_threshold, default=0.25)
     p.add_argument("--iou-threshold", type=_threshold, default=0.5)
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate the seeded synthetic set")

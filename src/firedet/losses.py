@@ -26,6 +26,7 @@ import numpy as np
 from .tensor import (
     Tensor,
     atan,
+    from_array,
     make_node,
     maximum,
     minimum,
@@ -33,6 +34,7 @@ from .tensor import (
     scalar,
     slice4,
     tmean,
+    using_dtype,
 )
 from .tensor import _sigmoid_np, _softplus_np  # stable scalar maps shared with decode
 from .nn import concat_channels
@@ -64,20 +66,9 @@ def _coord(boxes: Tensor, idx: int) -> Tensor:
     return slice4(boxes, c=slice(idx, idx + 1))
 
 
-def ciou_loss(pred: Tensor, gt: Tensor, alpha_const: np.ndarray | None = None) -> Tensor:
-    """1 - CIoU per box; pred and gt are (N, 4, P, 1) center-format boxes.
-
-    Differentiable in pred; degenerate extents are clamped at
-    ``MIN_EXTENT``.  Returns shape (N, 1, P, 1).
-
-    The aspect term's trade-off coefficient is held constant during
-    differentiation.  By default it is recomputed from the current values on
-    every call; passing ``alpha_const`` pins it, which is what a
-    finite-difference check must do to probe the same function the backward
-    pass differentiates.
-    """
-    if pred.shape != gt.shape or pred.shape[1] != 4:
-        raise ValueError(f"expected matching (N,4,P,1) boxes, got {pred.shape} and {gt.shape}")
+def _ciou_terms(pred: Tensor, gt: Tensor) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
+    """(IoU, center-distance penalty, aspect term v, trade-off alpha) of
+    (N, 4, P, 1) center-format boxes; alpha is a plain array."""
     floor = scalar(MIN_EXTENT)
     px, py = _coord(pred, 0), _coord(pred, 1)
     pw, ph = maximum(_coord(pred, 2), floor), maximum(_coord(pred, 3), floor)
@@ -106,34 +97,41 @@ def ciou_loss(pred: Tensor, gt: Tensor, alpha_const: np.ndarray | None = None) -
 
     dtheta = atan(gw / gh) - atan(pw / ph)
     v = dtheta * dtheta * (4.0 / math.pi ** 2)
+    alpha = v.data / ((1.0 - iou.data) + v.data + 1e-12)
+    return iou, rho2 / c2, v, alpha
+
+
+def ciou_loss(pred: Tensor, gt: Tensor, alpha_const: np.ndarray | None = None) -> Tensor:
+    """1 - CIoU per box; pred and gt are (N, 4, P, 1) center-format boxes.
+
+    Differentiable in pred; degenerate extents are clamped at
+    ``MIN_EXTENT``.  Returns shape (N, 1, P, 1).
+
+    The aspect term's trade-off coefficient is held constant during
+    differentiation.  By default it is recomputed from the current values on
+    every call; passing ``alpha_const`` pins it, which is what a
+    finite-difference check must do to probe the same function the backward
+    pass differentiates.
+    """
+    if pred.shape != gt.shape or pred.shape[1] != 4:
+        raise ValueError(f"expected matching (N,4,P,1) boxes, got {pred.shape} and {gt.shape}")
+    iou, distance, v, alpha_now = _ciou_terms(pred, gt)
     if alpha_const is None:
-        alpha_const = v.data / ((1.0 - iou.data) + v.data + 1e-12)
+        alpha_const = alpha_now
     alpha = Tensor(np.broadcast_to(np.asarray(alpha_const, dtype=v.data.dtype), v.shape).copy())
 
-    ciou = iou - rho2 / c2 - alpha * v
+    ciou = iou - distance - alpha * v
     return 1.0 - ciou
 
 
 def ciou_alpha(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
-    """Current trade-off coefficient alpha = v / ((1 - IoU) + v).
+    """Current trade-off coefficient alpha = v / ((1 - IoU) + v), in float64.
 
     Takes (N, 4, P, 1) center-format arrays; useful for pinning the
     coefficient across finite-difference evaluations.
     """
-    p = np.asarray(pred_boxes, dtype=np.float64)
-    g = np.asarray(gt_boxes, dtype=np.float64)
-    pw, ph = np.maximum(p[:, 2:3], MIN_EXTENT), np.maximum(p[:, 3:4], MIN_EXTENT)
-    gw, gh = np.maximum(g[:, 2:3], MIN_EXTENT), np.maximum(g[:, 3:4], MIN_EXTENT)
-    px1, px2 = p[:, 0:1] - pw / 2, p[:, 0:1] + pw / 2
-    py1, py2 = p[:, 1:2] - ph / 2, p[:, 1:2] + ph / 2
-    gx1, gx2 = g[:, 0:1] - gw / 2, g[:, 0:1] + gw / 2
-    gy1, gy2 = g[:, 1:2] - gh / 2, g[:, 1:2] + gh / 2
-    inter = np.maximum(0.0, np.minimum(px2, gx2) - np.maximum(px1, gx1)) * \
-        np.maximum(0.0, np.minimum(py2, gy2) - np.maximum(py1, gy1))
-    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
-    iou = inter / union
-    v = (4.0 / math.pi ** 2) * (np.arctan(gw / gh) - np.arctan(pw / ph)) ** 2
-    return v / ((1.0 - iou) + v + 1e-12)
+    with using_dtype(np.float64):
+        return _ciou_terms(from_array(pred_boxes), from_array(gt_boxes))[3]
 
 
 def ciou_value(pred_box, gt_box) -> float:
@@ -192,7 +190,7 @@ def scale_bucket(box: tuple[float, float, float, float], input_size: int) -> int
 def assign(gts: list[GroundTruth], config: ModelConfig, batch_size: int,
            input_size: int | None = None) -> Targets:
     """Map ground truths to (scale, cell) positives with one-hot class maps."""
-    size = input_size or config.input_size
+    size = config.resolve_input_size(input_size)
     grids = [(size // s, size // s) for s in STRIDES]
     chosen: dict[tuple[int, int, int, int], GroundTruth] = {}
     for gt in gts:

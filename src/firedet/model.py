@@ -91,6 +91,14 @@ class ModelConfig:
     def head_width(self) -> int:
         return self.head_channels if self.head_channels is not None else self.scaled_widths()[2]
 
+    def resolve_input_size(self, input_size: int | None) -> int:
+        """``input_size``, or this config's when it is None; it must be positive."""
+        if input_size is None:
+            return self.input_size
+        if input_size <= 0:
+            raise ValueError(f"input_size must be positive, got {input_size}")
+        return input_size
+
     @staticmethod
     def from_dict(raw: dict) -> "ModelConfig":
         """Build a config from parsed JSON, rejecting unknown keys."""
@@ -146,18 +154,18 @@ class Backbone(Module):
         self.stages = ModuleList(stages)
         self.sppf = Sppf(w[4], w[4], rng) if cfg.include_sppf else None
 
-    def forward(self, x: Tensor, training: bool = False):
-        x = self.stem(x, training=training)
+    def forward(self, x: Tensor):
+        x = self.stem(x)
         feats = []
         for i in range(4):
-            x = self.downs[i](x, training=training)
+            x = self.downs[i](x)
             for blk in self.stages[i]:
-                x = blk(x, training=training)
+                x = blk(x)
             if i >= 1:
                 feats.append(x)
         c3, c4, c5 = feats
         if self.sppf is not None:
-            c5 = self.sppf(c5, training=training)
+            c5 = self.sppf(c5)
         return c3, c4, c5
 
 
@@ -186,11 +194,11 @@ class Neck(Module):
         self.down4 = down(c4)
         self.fuse5b = fusion(c4 + c5, c5)
 
-    def forward(self, c3: Tensor, c4: Tensor, c5: Tensor, training: bool = False):
-        t4 = self.fuse4(concat_channels([upsample_nearest(c5), c4]), training=training)
-        p3 = self.fuse3(concat_channels([upsample_nearest(t4), c3]), training=training)
-        p4 = self.fuse4b(concat_channels([self.down3(p3, training=training), t4]), training=training)
-        p5 = self.fuse5b(concat_channels([self.down4(p4, training=training), c5]), training=training)
+    def forward(self, c3: Tensor, c4: Tensor, c5: Tensor):
+        t4 = self.fuse4(concat_channels([upsample_nearest(c5), c4]))
+        p3 = self.fuse3(concat_channels([upsample_nearest(t4), c3]))
+        p4 = self.fuse4b(concat_channels([self.down3(p3), t4]))
+        p5 = self.fuse5b(concat_channels([self.down4(p4), c5]))
         return p3, p4, p5
 
 
@@ -207,9 +215,9 @@ class ScaleHead(Module):
         self.cls_stem2 = Cbs(hc, hc, 3, rng)
         self.cls_out = Conv2d(Conv2dSpec(hc, num_classes, kernel=1, has_bias=True), rng)
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        box = self.box_out(self.box_stem2(self.box_stem1(x, training=training), training=training))
-        cls = self.cls_out(self.cls_stem2(self.cls_stem1(x, training=training), training=training))
+    def forward(self, x: Tensor) -> Tensor:
+        box = self.box_out(self.box_stem2(self.box_stem1(x)))
+        cls = self.cls_out(self.cls_stem2(self.cls_stem1(x)))
         return concat_channels([box, cls])
 
 
@@ -229,15 +237,15 @@ class Model(Module):
             ScaleHead(w[4], hc, config.num_classes, rng),
         ])
 
-    def forward(self, x: Tensor, training: bool = False):
+    def forward(self, x: Tensor):
         n, c, h, w = x.shape
         if c != 3:
             raise ConfigError(f"expected 3 input channels, got {c}")
         if h % 32 or w % 32:
             raise ConfigError(f"input H,W must be divisible by 32, got {h}x{w}")
-        c3, c4, c5 = self.backbone(x, training=training)
-        p3, p4, p5 = self.neck(c3, c4, c5, training=training)
-        return [head(p, training=training) for head, p in zip(self.heads, (p3, p4, p5))]
+        c3, c4, c5 = self.backbone(x)
+        p3, p4, p5 = self.neck(c3, c4, c5)
+        return [head(p) for head, p in zip(self.heads, (p3, p4, p5))]
 
 
 def build(config: ModelConfig, rng: Rng | None = None) -> Model:

@@ -19,10 +19,11 @@ to make conv/linear skip their arithmetic and record multiply-accumulate
 counts instead, for the whole batch of each call and keyed by the weight
 tensor it used — the analytic cost model and the executable graph share one
 definition this way, and a caller that knows the parameters' names can
-group the counts.  Like
-:func:`firedet.tensor.no_grad`, the tally lives in :mod:`contextvars`, so
-counting in one thread leaves other threads' convs computing.  Calling a
-:class:`Module` only runs its ``forward``.
+group the counts.  :func:`train_mode` switches BatchNorm, the one layer
+whose behaviour depends on the mode, to batch statistics.  Like
+:func:`firedet.tensor.no_grad`, both switches live in :mod:`contextvars`, so
+they reach the calling thread only.  Calling a :class:`Module` only runs its
+``forward``.
 """
 
 from __future__ import annotations
@@ -293,17 +294,32 @@ class Conv2d(Module):
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
+_training = contextvars.ContextVar("training", default=False)
+
+
+@contextlib.contextmanager
+def train_mode():
+    """Mark the calling thread as training: BatchNorm uses batch statistics.
+
+    Off by default, so a thread that never enters it (an ``infer --threads``
+    worker too) uses running statistics."""
+    token = _training.set(True)
+    try:
+        yield
+    finally:
+        _training.reset(token)
+
 
 class BatchNorm(Module):
     """Per-channel batch normalization with running statistics.
 
-    Train mode normalizes by the batch mean and biased variance over
-    (N, H, W), updating the running statistics in place with
-    ``running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch`` (biased
-    variance throughout, documented convention).  Infer mode applies the
-    affine map using the stored statistics.  Both modes divide by
-    ``sqrt(var + BN_EPS)``.  Both modes are differentiable;
-    train mode backpropagates through the batch statistics.
+    In train mode (:func:`train_mode`) it normalizes by the batch mean and
+    biased variance over (N, H, W), updating the running statistics in place
+    with ``running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch``
+    (biased variance throughout, documented convention).  Otherwise (infer
+    mode, the default) it applies the affine map using the stored
+    statistics.  Both modes divide by ``sqrt(var + BN_EPS)``.  Both modes are
+    differentiable; train mode backpropagates through the batch statistics.
     """
 
     def __init__(self, channels: int):
@@ -315,11 +331,11 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros((1, channels, 1, 1), dtype=dt))
         self.register_buffer("running_var", np.ones((1, channels, 1, 1), dtype=dt))
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.channels:
             raise ValueError(f"input has {x.shape[1]} channels, layer has {self.channels}")
         gamma, beta = self.gamma, self.beta
-        if not training:
+        if not _training.get():
             inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
             xhat_data = (x.data - self.running_mean) * inv_std
 

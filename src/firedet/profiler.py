@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .rng import Rng
 from .tensor import Parameter, no_grad, zeros
 from .nn import mac_counting
 from .model import Model, ModelConfig, build
@@ -79,21 +78,12 @@ def count_params(model: Model) -> tuple[dict[str, int], int]:
     return groups, sum(groups.values())
 
 
-def _input_size(model: Model, input_size: int | None) -> int:
-    """``input_size``, or the config's when it is None; it must be positive."""
-    if input_size is None:
-        return model.config.input_size
-    if input_size <= 0:
-        raise ValueError(f"input_size must be positive, got {input_size}")
-    return input_size
-
-
 def count_macs(model: Model, input_size: int | None = None) -> tuple[dict[str, int], int]:
     """Per-group and total MACs for a single image at the given input size."""
-    size = _input_size(model, input_size)
+    size = model.config.resolve_input_size(input_size)
     tally: dict = {}
     with no_grad(), mac_counting(tally):
-        model(zeros((1, 3, size, size)), training=False)
+        model(zeros((1, 3, size, size)))
     group_of = {p: key for key, p in _grouped_parameters(model)}
     groups: dict[str, int] = {}
     for weight, macs in tally["by_weight"].items():
@@ -109,7 +99,7 @@ def size_bytes(model: Model, precision: str) -> int:
 
 def profile(model: Model, input_size: int | None = None) -> ProfileReport:
     """Full per-block and total accounting for one model."""
-    size = _input_size(model, input_size)
+    size = model.config.resolve_input_size(input_size)
     param_groups, total_params = count_params(model)
     mac_groups, total_macs = count_macs(model, size)
     keys = sorted(set(param_groups) | set(mac_groups))
@@ -141,11 +131,13 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
     return replace(base, use_air=use_air, use_dpdf=use_dpdf)
 
 
-def ablation_report(base: ModelConfig, input_size: int | None = None, seed: int = 0) -> str:
-    """Four-variant grid: params/GFLOPs/size plus reductions vs the baseline."""
+def ablation_report(base: ModelConfig, input_size: int | None = None) -> str:
+    """Four-variant grid: params/GFLOPs/size plus reductions vs the baseline.
+
+    The figures depend on names and shapes only, so the builds draw nothing."""
     stats: dict[str, ProfileReport] = {}
     for variant in VARIANTS:
-        model = build(variant_config(base, variant), Rng(seed))
+        model = build(variant_config(base, variant))
         stats[variant] = profile(model, input_size)
     baseline = stats["baseline"]
     lines = [f"{'variant':<10}  {'params':>12}  {'GFLOPs':>8}  {'size f16 MB':>12}  "

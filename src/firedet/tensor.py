@@ -12,8 +12,9 @@ Gradients accumulate across separate forward/backward rounds until
 :meth:`Tensor.zero_grad` clears them.
 
 The default element type is float32; :func:`using_dtype` switches the
-calling thread to float64 for high-precision gradient verification.  Both
-modes, the element type and :func:`no_grad`, are per thread: they live in
+calling thread to float64 for high-precision gradient verification.  Every
+mode is per thread (the element type, :func:`no_grad`, and
+:mod:`firedet.nn`'s ``mac_counting`` and ``train_mode``): each lives in
 :mod:`contextvars`, so one thread's switch never reaches another's tensors.
 """
 

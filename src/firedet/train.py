@@ -20,7 +20,7 @@ from .fileio import (FileFormatError, LetterboxInfo, image_to_input, letterbox,
 from .losses import GroundTruth, detection_loss
 from .metrics import DetRecord, EvalResult, GtRecord, map_range
 from .model import Model, ModelConfig, decode, nms
-from .nn import Module
+from .nn import train_mode
 from .tensor import Parameter, Tensor, from_array, no_grad
 
 
@@ -118,15 +118,16 @@ def train_toy(model: Model, config: ModelConfig, dataset: ToyDataset,
               log=None) -> TrainResult:
     """Full-batch training loop.  Raises TrainingDiverged on non-finite loss.
 
-    Runs the network in training mode (batch statistics, running-stat
-    updates); the saved weights therefore carry converged running statistics
-    for inference."""
+    Each step's forward pass runs in :func:`firedet.nn.train_mode` (batch
+    statistics, running-stat updates); the saved weights therefore carry
+    converged running statistics for inference."""
     opt = AdamW(list(model.parameters()), lr=lr, weight_decay=weight_decay)
     batch = from_array(np.asarray(dataset.batch, dtype=np.float32))
     losses, box_losses, cls_losses = [], [], []
     for step in range(1, steps + 1):
         opt.zero_grad()
-        maps = model(batch, training=True)
+        with train_mode():
+            maps = model(batch)
         total, box_term, cls_term = detection_loss(maps, dataset.gts, config)
         value = total.item()
         if not np.isfinite(value):
@@ -142,13 +143,12 @@ def train_toy(model: Model, config: ModelConfig, dataset: ToyDataset,
 
 
 def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
-                 image_names: list[str],
-                 infos: list[LetterboxInfo] | None = None,
-                 score_threshold: float | None = None) -> list[DetRecord]:
+                 image_names: list[str], infos: list[LetterboxInfo],
+                 score_threshold: float | None) -> list[DetRecord]:
     """Eval-mode forward + decode + per-image NMS over a stacked batch.
 
-    The one inference path (``firedet infer`` too).  When ``infos`` is given,
-    boxes are mapped back into each source image's normalized coordinates, and
+    The one inference path (``firedet infer`` too).  Boxes are mapped back
+    into each source image's normalized coordinates through ``infos``, and
     those lying wholly in the letterbox padding (zero width or height) dropped."""
     with no_grad():
         maps = model(from_array(np.asarray(batch, dtype=np.float32)))
@@ -158,7 +158,7 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
                           batch_index=bi),
                    config.nms_iou_threshold)
         for d in dets:
-            box = d.box if infos is None else unletterbox_box(d.box, infos[bi])
+            box = unletterbox_box(d.box, infos[bi])
             if box[2] > 0.0 and box[3] > 0.0:
                 records.append(DetRecord(name, d.class_id, d.score, box))
     return records

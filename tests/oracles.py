@@ -7,10 +7,13 @@ library code is meaningful.  Keep these slow and obvious.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from firedet.boxes import cxcywh_to_xyxy, iou_xyxy
+from firedet.losses import MIN_EXTENT
 
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -167,6 +170,27 @@ def naive_partial_conv(x: np.ndarray, w: np.ndarray, r: int = 4) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Box / metric references
+
+def ciou_alpha_ref(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
+    """CIoU trade-off coefficient v / ((1 - IoU) + v + 1e-12) in plain float64 NumPy.
+
+    (N, 4, P, 1) center-format arrays; extents floored at ``MIN_EXTENT``.
+    """
+    p = np.asarray(pred_boxes, dtype=np.float64)
+    g = np.asarray(gt_boxes, dtype=np.float64)
+    pw, ph = np.maximum(p[:, 2:3], MIN_EXTENT), np.maximum(p[:, 3:4], MIN_EXTENT)
+    gw, gh = np.maximum(g[:, 2:3], MIN_EXTENT), np.maximum(g[:, 3:4], MIN_EXTENT)
+    px1, px2 = p[:, 0:1] - pw / 2, p[:, 0:1] + pw / 2
+    py1, py2 = p[:, 1:2] - ph / 2, p[:, 1:2] + ph / 2
+    gx1, gx2 = g[:, 0:1] - gw / 2, g[:, 0:1] + gw / 2
+    gy1, gy2 = g[:, 1:2] - gh / 2, g[:, 1:2] + gh / 2
+    inter = np.maximum(0.0, np.minimum(px2, gx2) - np.maximum(px1, gx1)) * \
+        np.maximum(0.0, np.minimum(py2, gy2) - np.maximum(py1, gy1))
+    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
+    iou = inter / union
+    v = (4.0 / math.pi ** 2) * (np.arctan(gw / gh) - np.arctan(pw / ph)) ** 2
+    return v / ((1.0 - iou) + v + 1e-12)
+
 
 def corners(box) -> tuple[float, float, float, float]:
     cx, cy, w, h = box

@@ -6,6 +6,7 @@ kernels are pinned to the byte patterns of the references in ``oracles``,
 not to a tolerance.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -18,6 +19,7 @@ import firedet.blocks
 import firedet.nn as nn
 from firedet.fileio import load_config
 from firedet.model import build
+from firedet.nn import train_mode
 from firedet.rng import Rng
 from firedet.tensor import Parameter, _sigmoid_np, from_array
 
@@ -59,7 +61,8 @@ def test_conv_and_pool_calls_of_a_forward_match_reference_bits(monkeypatch, conf
             monkeypatch.setattr(mod, "pool2d", checked_pool)
     model = build(dataclasses.replace(load_config(f"configs/{config}.json"), input_size=size), Rng(5))
     x = from_array(Rng(6).uniform64(batch * 3 * size * size).reshape(batch, 3, size, size))
-    model(x, training=training)
+    with train_mode() if training else contextlib.nullcontext():
+        model(x)
     assert calls["conv"] > 50 and calls["pool"] >= 3
 
 

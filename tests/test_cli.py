@@ -357,6 +357,27 @@ def test_profile_output_matches_golden(config, flags, capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["--ablation"]], ids=["table", "ablation"])
+def test_profile_draws_no_initial_values(monkeypatch, config_path, flags):
+    # The report reads names, shapes, MACs and archive lengths only.
+    def refuse(*args):
+        raise AssertionError("profile drew initial values")
+
+    monkeypatch.setattr(Rng, "uniform64", refuse)
+    assert main(["profile", "--config", config_path, *flags]) == EXIT_OK
+
+
+@pytest.mark.parametrize("verb", ["profile", "eval"])
+def test_verbs_that_draw_nothing_take_no_seed(config_path, tmp_path, verb, capsys):
+    args = {"profile": ["profile", "--config", config_path],
+            "eval": ["eval", "--dets", str(tmp_path / "d.jsonl"),
+                     "--gts", str(tmp_path / "g.jsonl")]}
+    with pytest.raises(SystemExit) as exc:
+        main([*args[verb], "--seed", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "100", "-32"])
 def test_profile_input_must_be_a_positive_multiple_of_32(config_path, capsys, value):
     with pytest.raises(SystemExit) as exc:

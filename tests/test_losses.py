@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ciou_alpha_ref
+
 from firedet.losses import (GroundTruth, LAMBDA_BOX, LAMBDA_CLS, Positive,
                             assign, bce, ciou_alpha, ciou_loss, ciou_value,
-                            detection_loss, scale_bucket)
+                            MIN_EXTENT, detection_loss, scale_bucket)
 from firedet.model import ModelConfig, STRIDES
 from firedet.rng import Rng
 from firedet.tensor import (Parameter, Tensor, from_array, grad_check, tmean,
@@ -110,6 +112,25 @@ def test_ciou_gradient_with_pinned_tradeoff_coefficient():
         assert err < 1e-7
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_ciou_alpha_matches_numpy_reference_bits(dtype):
+    # 2 x 1,000 box pairs: random, then zero, tiny and floor-sized extents,
+    # and identical boxes.  Computed in float64 whatever the input type.
+    rng = Rng(23)
+    pred = np.asarray(rng.uniform64(2 * 4 * 1000, 0.0, 1.0)).reshape(2, 4, 1000, 1)
+    gt = np.asarray(rng.uniform64(2 * 4 * 1000, 0.0, 1.0)).reshape(2, 4, 1000, 1)
+    for k, extent in enumerate([0.0, 1e-12, MIN_EXTENT, 2e-9, 1e-6]):
+        block = slice(700 + 40 * k, 740 + 40 * k)
+        pred[:, 2 + k % 2, block] = extent
+        gt[:, 2 + (k + 1) % 2, block] = extent
+    gt[:, :, 900:] = pred[:, :, 900:]
+    pred, gt = pred.astype(dtype), gt.astype(dtype)
+    got = ciou_alpha(pred, gt)
+    want = ciou_alpha_ref(pred, gt)
+    assert got.dtype == np.float64 and got.shape == (2, 1, 1000, 1)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- scale assignment --------------------------------------------------------------------
 
 
@@ -173,6 +194,14 @@ def test_assign_validates_indices():
         assign([GroundTruth(2, 0, (0.5, 0.5, 0.1, 0.1))], CFG640, batch_size=2)
     with pytest.raises(ValueError, match="class_id"):
         assign([GroundTruth(0, 2, (0.5, 0.5, 0.1, 0.1))], CFG640, batch_size=1)
+
+
+@pytest.mark.parametrize("size", [0, -64])
+def test_assign_rejects_a_non_positive_input_size(size):
+    # Only None means "the config's size"; 0 used to fall back to it silently.
+    with pytest.raises(ValueError, match="input_size"):
+        assign([GroundTruth(0, 0, (0.5, 0.5, 0.1, 0.1))], CFG640, batch_size=1, input_size=size)
+    assert assign([], CFG640, batch_size=1, input_size=None).cls_maps[0].shape == (1, 2, 80, 80)
 
 
 @pytest.mark.parametrize("centre", [(0.5, -0.6), (-0.01, 0.5), (1.2, 0.5), (0.5, float("nan"))])

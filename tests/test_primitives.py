@@ -5,7 +5,7 @@ from oracles import naive_conv2d, naive_linear, naive_partial_conv, naive_pool2d
 
 from firedet.nn import (BN_EPS, BatchNorm, Conv2dSpec, concat_channels, conv2d,
                         global_avg_pool, identity_kernel, linear, partial_conv,
-                        pool2d, upsample_nearest)
+                        pool2d, train_mode, upsample_nearest)
 from firedet.rng import Rng
 from firedet.tensor import Parameter, from_array, tsum, using_dtype
 
@@ -166,7 +166,8 @@ def test_batch_norm_train_normalizes_and_updates_running_stats():
         bn = BatchNorm(2)
         rng = Rng(3)
         x = arr(rng, (4, 2, 3, 3), -2.0, 5.0)
-        out = bn(from_array(x), training=True).data
+        with train_mode():
+            out = bn(from_array(x)).data
         for c in range(2):
             mean_c = x[:, c].mean()
             var_c = x[:, c].var()  # biased
@@ -184,7 +185,7 @@ def test_batch_norm_eval_uses_running_stats():
         bn.running_var[...] = 4.0
         x = from_array(np.full((1, 1, 1, 1), 6.0))
         # (6 - 2) / sqrt(4 + eps) ~= 2
-        assert bn(x, training=False).item() == pytest.approx(2.0, rel=1e-5)
+        assert bn(x).item() == pytest.approx(2.0, rel=1e-5)
 
 
 def test_max_pool_hand_grid():

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from firedet.nn import Conv2dSpec, conv2d, mac_counting
+from firedet.nn import BatchNorm, Conv2dSpec, conv2d, mac_counting, train_mode
 from firedet.rng import Rng
 from firedet.tensor import (Parameter, Tensor, atan, from_array, grad_check,
                             maximum, minimum, no_grad, scalar, slice4, tmean,
@@ -126,20 +126,28 @@ def test_no_grad_is_per_thread():
     assert (p * p).requires_grad
 
 
-def _dtype_and_conv_sum():
+def _probe_modes():
+    """(default dtype, conv sum, BatchNorm sum) over a 2x2 plane of ones.
+
+    A fresh BatchNorm gives 0 on batch statistics and about 4 on its
+    running ones (mean 0, variance 1)."""
     spec = Conv2dSpec(in_channels=1, out_channels=1, kernel=1, has_bias=False)
-    out = conv2d(from_array(np.ones((1, 1, 2, 2))), spec, from_array(np.ones((1, 1, 1, 1))))
-    return zeros((1, 1, 1, 1)).dtype, float(out.data.sum())
+    x = from_array(np.ones((1, 1, 2, 2)))
+    out = conv2d(x, spec, from_array(np.ones((1, 1, 1, 1))))
+    normed = BatchNorm(1)(x)
+    return zeros((1, 1, 1, 1)).dtype, float(out.data.sum()), round(float(normed.data.sum()), 3)
 
 
-@pytest.mark.parametrize("mode", ["using_dtype", "mac_counting"])
+@pytest.mark.parametrize("mode", ["using_dtype", "mac_counting", "train_mode"])
 def test_dtype_and_mac_modes_are_per_thread(mode):
     # While one thread holds the mode open, another thread keeps the defaults:
-    # float32 tensors and convolutions that compute (and count nothing).
+    # float32 tensors, convolutions that compute (and count nothing) and
+    # BatchNorm on running statistics.
     tally = {}
     enter, inside_view = {
-        "using_dtype": (lambda: using_dtype(np.float64), (np.float64, 4.0)),
-        "mac_counting": (lambda: mac_counting(tally), (np.float32, 0.0)),
+        "using_dtype": (lambda: using_dtype(np.float64), (np.float64, 4.0, 4.0)),
+        "mac_counting": (lambda: mac_counting(tally), (np.float32, 0.0, 4.0)),
+        "train_mode": (train_mode, (np.float32, 4.0, 0.0)),
     }[mode]
     entered, probed = threading.Event(), threading.Event()
     seen = []
@@ -148,22 +156,22 @@ def test_dtype_and_mac_modes_are_per_thread(mode):
         with enter():
             entered.set()
             probed.wait(timeout=10)
-            seen.append(_dtype_and_conv_sum())
+            seen.append(_probe_modes())
 
     t = threading.Thread(target=hold)
     t.start()
     try:
         assert entered.wait(timeout=10)
-        outside_view = _dtype_and_conv_sum()
+        outside_view = _probe_modes()
     finally:
         probed.set()
         t.join(timeout=10)
     assert not t.is_alive()
-    assert outside_view == (np.float32, 4.0)
+    assert outside_view == (np.float32, 4.0, 4.0)
     assert seen == [inside_view]
     if mode == "mac_counting":  # the held thread's conv only
         assert tally["macs"] == 4 and list(tally["by_weight"].values()) == [4]
-    assert _dtype_and_conv_sum() == (np.float32, 4.0)
+    assert _probe_modes() == (np.float32, 4.0, 4.0)
 
 
 def test_backward_frees_tape():
