@@ -1,8 +1,9 @@
 """Plain-array box geometry shared by decoding, suppression, and metrics.
 
-Boxes travel as (cx, cy, w, h) center format in normalized [0, 1] image
-coordinates; the helpers here convert to corner format and compute
-intersection-over-union without touching the autodiff graph.
+Boxes travel as (..., 4) float64 arrays of (cx, cy, w, h) center format in
+normalized [0, 1] image coordinates, such as the ``box`` column of a
+candidate record array; the helpers here convert to corner format and
+compute intersection-over-union without touching the autodiff graph.
 """
 
 from __future__ import annotations

@@ -291,7 +291,7 @@ def model_check(seed: int = 0) -> list[CheckResult]:
 
 
 def pipeline_check(seed: int = 0) -> list[CheckResult]:
-    """Detection-loss pipeline check on a toy build with multi-image targets."""
+    """Pipeline check of the detection loss on a toy build with multi-image targets."""
     cfg = ModelConfig(num_classes=2, input_size=64, width_mult=0.125)
     gts = [GroundTruth(0, 1, (0.30, 0.40, 0.25, 0.25)),
            GroundTruth(0, 0, (0.80, 0.70, 0.20, 0.30)),

@@ -1,7 +1,7 @@
 """File formats: binary PPM (P6) images, JSONL detection/ground-truth files,
 JSON model configs, and letterbox geometry.
 
-PPM P6 keeps image I/O dependency-free and bit-exact.  Detections are one
+PPM P6 keeps image I/O dependency-free and bit-exact.  Each detection is one
 JSON object per line with fields ``image``, ``class_id``, ``score`` (finite)
 and ``box`` ([cx, cy, w, h], normalized: each in [0, 1], w and h positive);
 ground-truth lines are identical minus ``score``.
@@ -235,21 +235,23 @@ def letterbox_box(box: tuple[float, float, float, float],
             h * info.src_h * info.scale / info.dst_size)
 
 
-def unletterbox_box(box: tuple[float, float, float, float],
-                    info: LetterboxInfo) -> tuple[float, float, float, float]:
-    """Map a normalized [cx, cy, w, h] box from letterboxed space back to the
-    source image's normalized coordinates.  The corners are clamped to [0, 1],
-    so a box lying wholly in the padding comes back with zero width or height."""
-    cx, cy, w, h = box
+def unletterbox_box(boxes: np.ndarray, info: LetterboxInfo) -> np.ndarray:
+    """Map (..., 4) normalized [cx, cy, w, h] boxes from letterboxed space back
+    to the source image's normalized coordinates, in one vector pass.  The
+    corners are clamped to [0, 1] (a NaN corner to 0), so a box lying wholly
+    in the padding comes back with zero width or height."""
+    cx, cy, w, h = np.moveaxis(np.asarray(boxes, dtype=np.float64), -1, 0)
 
-    def to_source(v: float, pad: int, size: int) -> float:
-        return min(1.0, max(0.0, (v * info.dst_size - pad) / info.scale / size))
+    def to_source(v: np.ndarray, pad: int, size: int) -> np.ndarray:
+        v = (v * info.dst_size - pad) / info.scale / size
+        v = np.where(v > 0.0, v, 0.0)  # not np.maximum: it keeps NaN and -0.0
+        return np.where(v < 1.0, v, 1.0)
 
     x1 = to_source(cx - w / 2, info.pad_x, info.src_w)
     y1 = to_source(cy - h / 2, info.pad_y, info.src_h)
     x2 = to_source(cx + w / 2, info.pad_x, info.src_w)
     y2 = to_source(cy + h / 2, info.pad_y, info.src_h)
-    return ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+    return np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=-1)
 
 
 def image_to_input(image: np.ndarray) -> np.ndarray:

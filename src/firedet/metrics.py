@@ -1,4 +1,4 @@
-"""Detection evaluation: precision/recall/F1 and average precision.
+"""Evaluation of detections: precision/recall/F1 and average precision.
 
 Matching is greedy per image and class: detections are visited in descending
 score order (ties broken by input order); each detection claims the

@@ -41,6 +41,10 @@ class ConfigError(ValueError):
 
 STRIDES = (8, 16, 32)
 
+# A row of the record arrays :func:`decode` and :func:`nms` return: ``row.class_id``,
+# ``row.score`` and ``row.box`` = (cx, cy, w, h), normalized to [0, 1].
+CANDIDATE = np.dtype([("class_id", np.int64), ("score", np.float64), ("box", np.float64, (4,))])
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -120,15 +124,6 @@ class ModelConfig:
             return ModelConfig(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One decoded detection: normalized center-format box, class, confidence."""
-
-    class_id: int
-    score: float
-    box: tuple[float, float, float, float]  # (cx, cy, w, h) in [0, 1]
 
 
 class Backbone(Module):
@@ -262,17 +257,18 @@ def build(config: ModelConfig, rng: Rng | None = None) -> Model:
 
 
 def decode(maps: list[Tensor], config: ModelConfig, score_threshold: float | None = None,
-           batch_index: int = 0) -> list[Detection]:
-    """Raw maps for one image -> thresholded, clamped, normalized detections.
+           batch_index: int = 0) -> np.recarray:
+    """Raw maps for one image -> thresholded, clamped, normalized candidates.
 
     Each cell at scale stride s has center ((j + 0.5)s, (i + 0.5)s) in input
     pixels; the four regressors pass through softplus and scale by s to give
-    left/top/right/bottom distances.  Scores are per-class sigmoids; every
-    (cell, class) with score >= threshold becomes a Detection.  Output order
-    is scale-major, then class, then row-major cell order.
+    left/top/right/bottom distances, whose corners are clipped to the frame.
+    Scores are per-class sigmoids; every (cell, class) with score >=
+    threshold becomes one :data:`CANDIDATE` row of the returned record
+    array.  Row order is scale-major, then class, then row-major cell order.
     """
     thr = config.score_threshold if score_threshold is None else score_threshold
-    dets: list[Detection] = []
+    chunks = []
     for m, stride in zip(maps, STRIDES):
         arr = np.asarray(m.data[batch_index], dtype=np.float64)
         nc = arr.shape[0] - 4
@@ -288,17 +284,12 @@ def decode(maps: list[Tensor], config: ModelConfig, score_threshold: float | Non
         y1 = np.clip((cy_c - dist[1]) / px_h, 0.0, 1.0)
         x2 = np.clip((cx_c + dist[2]) / px_w, 0.0, 1.0)
         y2 = np.clip((cy_c + dist[3]) / px_h, 0.0, 1.0)
+        boxes = np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=-1)
         for cls in range(nc):
-            keep_i, keep_j = np.nonzero(scores[cls] >= thr)
-            for i, j in zip(keep_i, keep_j):
-                bx1, by1, bx2, by2 = x1[i, j], y1[i, j], x2[i, j], y2[i, j]
-                dets.append(Detection(
-                    class_id=cls,
-                    score=float(scores[cls, i, j]),
-                    box=(float((bx1 + bx2) / 2), float((by1 + by2) / 2),
-                         float(bx2 - bx1), float(by2 - by1)),
-                ))
-    return dets
+            hit = scores[cls] >= thr
+            chunks.append(np.rec.fromarrays([np.full(np.count_nonzero(hit), cls),
+                                             scores[cls][hit], boxes[hit]], dtype=CANDIDATE))
+    return np.concatenate(chunks).view(np.recarray)
 
 
 def cell_box(raw: Tensor, batch: int, i: int, j: int, stride: int,
@@ -330,13 +321,14 @@ def cell_box(raw: Tensor, batch: int, i: int, j: int, stride: int,
 NMS_BLOCK = 256  # candidate ranks resolved together in one step of :func:`nms`
 
 
-def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy per-class suppression.
+def nms(dets: np.recarray, iou_threshold: float) -> np.recarray:
+    """Greedy per-class suppression over :data:`CANDIDATE` rows.
 
     Candidates are visited by descending score (ties: lower class_id, then
-    input order); one is kept iff its IoU with every already-kept detection
-    of the same class is strictly below the threshold.  Output order is keep
-    order, so scores are non-increasing within each class.
+    input order); one is kept iff its IoU with every already-kept candidate
+    of the same class is strictly below the threshold.  Returns the kept
+    rows of ``dets`` in keep order, so scores are non-increasing within
+    each class.
 
     Cost: one sort, then each class is resolved in blocks of
     :data:`NMS_BLOCK` ranks (:func:`_sweep`), so a frame where nothing is
@@ -348,20 +340,17 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     :func:`boxes.iou_xyxy` is bitwise symmetric, so the keep set equals that
     of testing each candidate against the kept boxes one at a time.
     """
-    if not dets:
-        return []
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    classes = np.array([d.class_id for d in dets], dtype=np.int64)
-    corners = cxcywh_to_xyxy(np.array([d.box for d in dets], dtype=np.float64))
-    order = np.lexsort((np.arange(len(dets)), classes, -scores))
+    classes = dets.class_id
+    corners = cxcywh_to_xyxy(dets.box)
+    order = np.lexsort((np.arange(len(dets)), classes, -dets.score))
     keep = np.zeros(len(dets), dtype=bool)
-    for cls in {d.class_id for d in dets}:  # not np.unique: it imports numpy.ma
+    for cls in set(classes.tolist()):  # not np.unique: it imports numpy.ma
         ranked = order[classes[order] == cls]
         if iou_threshold <= 0:
             keep[ranked[0]] = True
         else:
             keep[ranked[_sweep(corners[ranked], iou_threshold)]] = True
-    return [dets[i] for i in order if keep[i]]
+    return dets[order[keep[order]]]
 
 
 def _sweep(xy: np.ndarray, iou_threshold: float) -> np.ndarray:

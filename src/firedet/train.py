@@ -147,9 +147,10 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
                  score_threshold: float | None) -> list[DetRecord]:
     """Eval-mode forward + decode + per-image NMS over a stacked batch.
 
-    The one inference path (``firedet infer`` too).  Boxes are mapped back
-    into each source image's normalized coordinates through ``infos``, and
-    those lying wholly in the letterbox padding (zero width or height) dropped."""
+    The one inference path (``firedet infer`` too).  Each image's kept boxes
+    are mapped back into its source's normalized coordinates through ``infos``
+    in one array pass, and those lying wholly in the letterbox padding (zero
+    width or height) dropped; only the records left are made in Python."""
     with no_grad():
         maps = model(from_array(np.asarray(batch, dtype=np.float32)))
     records = []
@@ -157,15 +158,15 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
         dets = nms(decode(maps, config, score_threshold=score_threshold,
                           batch_index=bi),
                    config.nms_iou_threshold)
-        for d in dets:
-            box = unletterbox_box(d.box, infos[bi])
-            if box[2] > 0.0 and box[3] > 0.0:
-                records.append(DetRecord(name, d.class_id, d.score, box))
+        boxes = unletterbox_box(dets.box, infos[bi])
+        shown = (boxes[:, 2] > 0.0) & (boxes[:, 3] > 0.0)
+        records += [DetRecord(name, c, s, tuple(b)) for c, s, b in zip(
+            dets.class_id[shown].tolist(), dets.score[shown].tolist(), boxes[shown].tolist())]
     return records
 
 
 def evaluate_model(model: Model, config: ModelConfig, dataset: ToyDataset,
-                   score_threshold: float = 0.001) -> EvalResult:
+                   score_threshold: float) -> EvalResult:
     dets = detect_batch(model, config, dataset.batch, dataset.image_names,
                         infos=dataset.infos, score_threshold=score_threshold)
     return map_range(dets, dataset.gt_records, conf_t=score_threshold)

@@ -125,8 +125,9 @@ def load_weights(data: bytes, model: Module) -> None:
     """Load archive bytes into a model.
 
     The archive must carry exactly the model's records, in order, with
-    matching shapes.  Validation happens before any mutation, so a mismatch
-    leaves the model untouched.
+    matching shapes, and no BatchNorm running variance may be negative (its
+    square root would be NaN).  Validation happens before any mutation, so a
+    mismatch leaves the model untouched.
     """
     loaded = load_records(data)
     expected = model_records(model)
@@ -139,5 +140,7 @@ def load_weights(data: bytes, model: Module) -> None:
         if got_arr.shape != want_arr.shape:
             raise ArchiveError(
                 f"record {i} ({got_name!r}): shape {got_arr.shape} != model {want_arr.shape}")
+        if got_name.rsplit(".", 1)[-1] == "running_var" and (got_arr < 0).any():
+            raise ArchiveError(f"record {i} ({got_name!r}): negative running variance")
     for (_, got_arr), (_, want_arr) in zip(loaded, expected):
         want_arr[...] = got_arr.astype(want_arr.dtype)

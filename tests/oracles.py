@@ -14,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from firedet.boxes import cxcywh_to_xyxy, iou_xyxy
 from firedet.losses import MIN_EXTENT
+from firedet.model import CANDIDATE
 
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -207,16 +208,28 @@ def iou_ref(box_a, box_b) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def candidates(rows) -> np.recarray:
+    """(class_id, score, (cx, cy, w, h)) tuples as a ``decode``-style record array."""
+    return np.array(list(rows), dtype=CANDIDATE).view(np.recarray)
+
+
+def row_bits(dets) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Class, score bits and box bits of each row (a record array or a list
+    of its rows), for exact comparison."""
+    rows = np.array(dets, dtype=CANDIDATE)
+    return list(zip(rows["class_id"].tolist(), rows["score"].view(np.uint64).tolist(),
+                    map(tuple, rows["box"].view(np.uint64).tolist())))
+
+
 def nms_ref(dets, iou_threshold: float):
     """Quadratic greedy NMS: per class, score-descending (ties: class, order)."""
-    order = sorted(range(len(dets)),
-                   key=lambda i: (-dets[i].score, dets[i].class_id, i))
+    rows = [(int(d.class_id), float(d.score), tuple(map(float, d.box))) for d in dets]
+    order = sorted(range(len(rows)), key=lambda i: (-rows[i][1], rows[i][0], i))
     kept = []
     for i in order:
         drop = False
         for j in kept:
-            if dets[j].class_id == dets[i].class_id and \
-                    iou_ref(dets[j].box, dets[i].box) >= iou_threshold:
+            if rows[j][0] == rows[i][0] and iou_ref(rows[j][2], rows[i][2]) >= iou_threshold:
                 drop = True
                 break
         if not drop:
@@ -231,7 +244,7 @@ def nms_passes(dets, iou_threshold: float):
     for thousands of candidates, and built on the library's own IoU so that
     it agrees with the library to the last bit.
     """
-    if not dets:
+    if not len(dets):
         return []
     scores = np.array([d.score for d in dets], dtype=np.float64)
     classes = np.array([d.class_id for d in dets], dtype=np.int64)
@@ -312,3 +325,18 @@ def pr_ref(dets, gts, iou_t: float, conf_t: float):
     r = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f1
+
+
+def unletterbox_box_ref(box, info) -> tuple[float, float, float, float]:
+    """One box at a time, in Python floats: the scalar form of
+    ``fileio.unletterbox_box``, whose corner clamp maps NaN to 0."""
+    cx, cy, w, h = box
+
+    def to_source(v: float, pad: int, size: int) -> float:
+        return min(1.0, max(0.0, (v * info.dst_size - pad) / info.scale / size))
+
+    x1 = to_source(cx - w / 2, info.pad_x, info.src_w)
+    y1 = to_source(cy - h / 2, info.pad_y, info.src_h)
+    x2 = to_source(cx + w / 2, info.pad_x, info.src_w)
+    y2 = to_source(cy + h / 2, info.pad_y, info.src_h)
+    return ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)

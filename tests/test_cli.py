@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, determinism, letterbox geometry, files."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from firedet import synth
 from firedet.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -15,6 +17,8 @@ from firedet.rng import Rng
 from firedet.tensor import Tensor
 from firedet.train import load_dataset, train_toy
 from firedet.weights import load_records, load_weights, save_weights
+
+from oracles import unletterbox_box_ref
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILE_GOLDEN = Path(__file__).resolve().parent / "data" / "profile"
@@ -65,6 +69,44 @@ def test_letterbox_box_round_trip():
         assert all(0.0 <= v <= 1.0 for v in mapped)
         back = unletterbox_box(mapped, info)
         assert np.allclose(back, box, atol=1e-12)
+
+
+_SOURCE_SIZES = st.integers(1, 800)
+_DST_SIZES = st.integers(8, 320)
+
+
+@st.composite
+def _source_box(draw):
+    """A (cx, cy, w, h) box whose corners lie in [0, 1]."""
+    x1, x2 = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+    y1, y2 = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+    return ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(src_w=_SOURCE_SIZES, src_h=_SOURCE_SIZES, dst_size=_DST_SIZES, box=_source_box())
+def test_letterbox_round_trip_on_generated_geometry(src_w, src_h, dst_size, box):
+    _, info = letterbox(np.zeros((src_h, src_w, 3), dtype=np.uint8), dst_size)
+    mapped = letterbox_box(box, info)
+    # The long side spans the frame: src * scale may round one ulp past dst.
+    assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in mapped)
+    # A 1-px side of an 800-px source becomes 0.01 px, so the way back
+    # divides rounding error by up to 1e-2.
+    assert np.allclose(unletterbox_box(mapped, info), box, rtol=0.0, atol=1e-9)
+
+
+# Corners beyond the frame are clamped, a NaN one to 0, and -0.0 becomes 0.0.
+_COORDS = st.floats(-0.5, 1.5) | st.sampled_from((math.nan, -0.0, 0.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(src_w=_SOURCE_SIZES, src_h=_SOURCE_SIZES, dst_size=_DST_SIZES,
+       boxes=st.lists(st.tuples(_COORDS, _COORDS, _COORDS, _COORDS), max_size=12))
+def test_unletterbox_box_matches_scalar_reference_bits(src_w, src_h, dst_size, boxes):
+    _, info = letterbox(np.zeros((src_h, src_w, 3), dtype=np.uint8), dst_size)
+    got = unletterbox_box(np.array(boxes, dtype=np.float64).reshape(-1, 4), info)
+    want = np.array([unletterbox_box_ref(b, info) for b in boxes], dtype=np.float64)
+    assert got.tobytes() == want.reshape(-1, 4).tobytes()
 
 
 def test_unletterbox_clamps_corners_not_centre_and_size():
@@ -193,6 +235,14 @@ def test_infer_exit_codes(tmp_path, config_path, dataset_dir):
     nan_weights.write_bytes(bytes(blob))
     assert main(["infer", image, "--config", config_path,
                  "--weights", str(nan_weights)]) == EXIT_IO
+
+    # The last record is a BatchNorm running variance; a negative one would
+    # turn every output of its layer into NaN and silently yield no records.
+    negative_var = tmp_path / "negative_var.bin"
+    blob[-4:] = np.array([-1.0], dtype="<f4").tobytes()
+    negative_var.write_bytes(bytes(blob))
+    assert main(["infer", image, "--config", config_path, "--score-threshold", "0",
+                 "--weights", str(negative_var)]) == EXIT_IO
 
 
 def test_infer_with_weights_draws_nothing_and_ignores_the_seed(

@@ -11,18 +11,19 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from firedet import model as model_module
 from firedet.fileio import load_config
-from firedet.model import (ConfigError, Detection, Model, ModelConfig, STRIDES,
-                           build, cell_box, decode, nms)
+from firedet.model import (ConfigError, Model, ModelConfig, STRIDES, build, cell_box, decode,
+                           nms)
 from firedet.profiler import VARIANTS, variant_config
 from firedet.rng import Rng
-from firedet.tensor import from_array, no_grad, using_dtype
+from firedet.tensor import _sigmoid_np, from_array, no_grad, using_dtype
 from firedet.weights import (ArchiveError, load_records, load_weights, model_records,
                              save_records, save_weights)
 
-from oracles import nms_passes, nms_ref
+from oracles import candidates, nms_passes, nms_ref, row_bits
 
 TOY = ModelConfig(num_classes=1, input_size=64, width_mult=0.125)
 REPO = Path(__file__).resolve().parent.parent
@@ -176,33 +177,71 @@ def test_cell_box_matches_decode_for_interior_cells():
         assert clamped > 10 and unclamped > 10
 
 
+@st.composite
+def _head_maps(draw):
+    """Raw maps of one image of 32·cols x 32·rows px with 1-2 classes.
+
+    Raws in [-6, 6] give side distances from 0.0025 to 6 strides, so both
+    cells inside the frame and border cells whose corners decode clips occur.
+    """
+    cols, rows, nc = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return [draw(arrays(np.float64, (1, 4 + nc, 32 * rows // s, 32 * cols // s),
+                        elements=st.floats(-6.0, 6.0)))
+            for s in STRIDES]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(raws=_head_maps(), threshold=st.sampled_from((0.0, 0.25, 0.5, 0.75)))
+def test_decode_matches_cell_box_on_generated_raws(raws, threshold):
+    """Each decoded row is ``cell_box``'s box with its corners clipped to the
+    frame, in scale, class, row-major cell order, for exactly the (cell,
+    class) pairs whose score reaches the threshold."""
+    with using_dtype(np.float64):
+        maps = [from_array(r) for r in raws]
+        dets = decode(maps, TOY, score_threshold=threshold)
+        want = []
+        for raw, stride in zip(maps, STRIDES):
+            _, c, gh, gw = raw.shape
+            px_w, px_h = gw * stride, gh * stride
+            scores = _sigmoid_np(raw.data[0, 4:])
+            for cls in range(c - 4):
+                for i, j in zip(*np.nonzero(scores[cls] >= threshold)):
+                    cx, cy, w, h = cell_box(raw, 0, i, j, stride, px_w, px_h).data.reshape(4)
+                    x1, y1, x2, y2 = np.clip([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2],
+                                             0.0, 1.0)
+                    want.append((cls, scores[cls, i, j],
+                                 ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)))
+    assert len(dets) == len(want)
+    for d, (cls, score, box) in zip(dets, want):
+        assert d.class_id == cls and d.score == score
+        assert np.allclose(d.box, box, rtol=0.0, atol=1e-12)
+
+
 # -- non-maximum suppression --------------------------------------------------------------
 
 
 def random_dets(rng, n, num_classes=2):
-    dets = []
+    rows = []
     for _ in range(n):
         w, h = rng.uniform64(2, 0.05, 0.4)
         cx, cy = rng.uniform64(2, 0.2, 0.8)
         score = round(float(rng.uniform64(1)[0]), 2)  # coarse scores force ties
         cls = int(rng.integers(1, 0, num_classes)[0])
-        dets.append(Detection(class_id=cls, score=score,
-                              box=(float(cx), float(cy), float(w), float(h))))
-    return dets
+        rows.append((cls, score, (float(cx), float(cy), float(w), float(h))))
+    return candidates(rows)
 
 
 def clustered_dets(rng, n, centres=4, num_classes=2):
     """Boxes jittered around a few centres, so that most are suppressed."""
     hubs = rng.uniform64(2 * centres, 0.3, 0.7).reshape(centres, 2)
-    dets = []
+    rows = []
     for k in range(n):
         cx, cy = hubs[k % centres] + rng.uniform64(2, -0.03, 0.03)
         w, h = rng.uniform64(2, 0.15, 0.25)
         score = round(float(rng.uniform64(1)[0]), 2)  # coarse scores force ties
         cls = int(rng.integers(1, 0, num_classes)[0])
-        dets.append(Detection(class_id=cls, score=score,
-                              box=(float(cx), float(cy), float(w), float(h))))
-    return dets
+        rows.append((cls, score, (float(cx), float(cy), float(w), float(h))))
+    return candidates(rows)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -212,31 +251,32 @@ def test_nms_matches_quadratic_reference_on_fuzz(seed):
     assert len(nms(clustered, 0.45)) < len(clustered) // 4
     for dets in (scattered, clustered):
         for thr in (0.0, 0.3, 0.45, 0.6, 1.0):
-            assert nms(dets, thr) == nms_ref(dets, thr)
+            assert row_bits(nms(dets, thr)) == row_bits(nms_ref(dets, thr))
 
 
 def test_nms_keeps_identical_boxes_of_different_classes():
     box = (0.5, 0.5, 0.2, 0.2)
-    dets = [Detection(0, 0.9, box), Detection(1, 0.8, box)]
-    assert nms(dets, 0.45) == dets
+    dets = candidates([(0, 0.9, box), (1, 0.8, box)])
+    assert row_bits(nms(dets, 0.45)) == row_bits(dets)
 
 
 def test_nms_drops_exactly_at_threshold():
-    a = Detection(0, 0.9, (0.50, 0.5, 0.2, 0.2))
+    a = (0, 0.9, (0.50, 0.5, 0.2, 0.2))
     # identical box: IoU 1.0 >= any threshold -> dropped even at threshold 1.0
-    b = Detection(0, 0.8, (0.50, 0.5, 0.2, 0.2))
-    assert nms([a, b], 1.0) == [a]
+    b = (0, 0.8, (0.50, 0.5, 0.2, 0.2))
+    assert row_bits(nms(candidates([a, b]), 1.0)) == row_bits(candidates([a]))
     # disjoint boxes: IoU 0.0 -> kept at threshold 0 only if strictly below
-    c = Detection(0, 0.7, (0.05, 0.05, 0.05, 0.05))
-    assert nms([a, c], 0.0) == [a]
+    c = (0, 0.7, (0.05, 0.05, 0.05, 0.05))
+    assert row_bits(nms(candidates([a, c]), 0.0)) == row_bits(candidates([a]))
 
 
 def test_nms_tie_break_by_class_then_input_order():
-    d0 = Detection(1, 0.5, (0.2, 0.2, 0.1, 0.1))
-    d1 = Detection(0, 0.5, (0.8, 0.8, 0.1, 0.1))
-    d2 = Detection(0, 0.5, (0.5, 0.5, 0.1, 0.1))
-    kept = nms([d0, d1, d2], 0.45)
-    assert kept == [d1, d2, d0]  # same score: lower class first, then input order
+    d0 = (1, 0.5, (0.2, 0.2, 0.1, 0.1))
+    d1 = (0, 0.5, (0.8, 0.8, 0.1, 0.1))
+    d2 = (0, 0.5, (0.5, 0.5, 0.1, 0.1))
+    kept = nms(candidates([d0, d1, d2]), 0.45)
+    # same score: lower class first, then input order
+    assert row_bits(kept) == row_bits(candidates([d1, d2, d0]))
 
 
 @pytest.mark.parametrize("size, cells", [(256, 1344), (640, 8400)])
@@ -248,22 +288,22 @@ def test_nms_matches_per_pass_reference_on_dense_decoded_frames(size, cells):
         dets = decode(build(cfg, Rng(0))(from_array(image)), cfg, score_threshold=0.001)
     assert len(dets) == cells
     kept = nms(dets, cfg.nms_iou_threshold)
-    assert kept == nms_passes(dets, cfg.nms_iou_threshold)
+    assert row_bits(kept) == row_bits(nms_passes(dets, cfg.nms_iou_threshold))
     assert len(kept) == cells
 
 
 def _grid_of_disjoint_boxes(n, columns):
     rows = -(-n // columns)
-    return [Detection(0, (i % 97) / 97, ((i % columns + 0.5) / columns,
-                                         (i // columns + 0.5) / rows,
-                                         0.5 / columns, 0.5 / rows))
-            for i in range(n)]
+    return candidates((0, (i % 97) / 97, ((i % columns + 0.5) / columns,
+                                          (i // columns + 0.5) / rows,
+                                          0.5 / columns, 0.5 / rows))
+                      for i in range(n))
 
 
 @pytest.mark.parametrize("case", ["identical", "disjoint"])
 def test_nms_on_8400_identical_or_disjoint_boxes_is_exact_in_bounded_memory(case):
     if case == "identical":
-        dets, expect = [Detection(0, 0.5, (0.5, 0.5, 0.2, 0.2))] * 8400, 1
+        dets, expect = candidates([(0, 0.5, (0.5, 0.5, 0.2, 0.2))] * 8400), 1
     else:
         dets, expect = _grid_of_disjoint_boxes(8400, 105), 8400
     tracemalloc.start()
@@ -273,7 +313,7 @@ def test_nms_on_8400_identical_or_disjoint_boxes_is_exact_in_bounded_memory(case
     finally:
         tracemalloc.stop()
     assert len(kept) == expect
-    assert kept == nms_passes(dets, 0.45)
+    assert row_bits(kept) == row_bits(nms_passes(dets, 0.45))
     assert peak < 64 * 2 ** 20
 
 
@@ -282,11 +322,11 @@ def test_nms_on_8400_identical_or_disjoint_boxes_is_exact_in_bounded_memory(case
 # cross block boundaries, where kept boxes are found through the x-index.
 _NMS_CENTERS = (0.2, 0.3, 0.4, 0.5)
 _NMS_SIZES = (0.0, 0.1, 0.2, 0.4)
-_NMS_DETS = st.lists(st.builds(
-    Detection, class_id=st.integers(0, 1), score=st.sampled_from((0.1, 0.5, 0.9)),
-    box=st.tuples(st.sampled_from(_NMS_CENTERS), st.sampled_from(_NMS_CENTERS),
-                  st.sampled_from(_NMS_SIZES), st.sampled_from(_NMS_SIZES))),
-    max_size=40)
+_NMS_DETS = st.lists(st.tuples(
+    st.integers(0, 1), st.sampled_from((0.1, 0.5, 0.9)),
+    st.tuples(st.sampled_from(_NMS_CENTERS), st.sampled_from(_NMS_CENTERS),
+              st.sampled_from(_NMS_SIZES), st.sampled_from(_NMS_SIZES))),
+    max_size=40).map(candidates)
 
 
 @settings(derandomize=True, max_examples=600, deadline=None, database=None)
@@ -294,7 +334,7 @@ _NMS_DETS = st.lists(st.builds(
        block=st.sampled_from((1, 3, 8, model_module.NMS_BLOCK)))
 def test_nms_matches_quadratic_reference_on_generated_detections(dets, iou_threshold, block):
     with mock.patch.object(model_module, "NMS_BLOCK", block):
-        assert nms(dets, iou_threshold) == nms_ref(dets, iou_threshold)
+        assert row_bits(nms(dets, iou_threshold)) == row_bits(nms_ref(dets, iou_threshold))
 
 
 # -- weight archive ------------------------------------------------------------------------
@@ -358,6 +398,18 @@ def test_load_rejects_non_finite_records_before_mutation(bad):
     before = save_weights(target)
     with pytest.raises(ArchiveError, match="non-finite"):
         load_weights(bytes(blob), target)
+    assert save_weights(target) == before
+
+
+def test_load_rejects_a_negative_running_variance_before_mutation():
+    records = model_records(build(TOY, Rng(0)))
+    name, var = records[-1]
+    assert name.endswith(".running_var")
+    var[0, -1, 0, 0] = -1.0  # a zero variance stays valid: BatchNorm adds eps
+    target = build(TOY, Rng(1))
+    before = save_weights(target)
+    with pytest.raises(ArchiveError, match="negative running variance"):
+        load_weights(save_records(records), target)
     assert save_weights(target) == before
 
 

@@ -71,22 +71,33 @@ def test_mac_tally_counts_the_whole_batch():
     assert by_batch[2]["macs"] == 2 * by_batch[1]["macs"]
 
 
-def test_traced_forward_macs_match_count_macs_and_batch_tally():
-    # perfbench/tracer.py wraps firedet functions by name, so a rename in
-    # src/ breaks `perfbench/run.py --trace 1`.  Its wrappers patch modules
-    # globally, so it runs in a process of its own.
+def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
+    # perfbench/tracer.py wraps firedet functions by name and reads the
+    # length of decode's and nms's results, and perfbench/inputs.py reads
+    # decode's rows, so a rename or a change of those results in src/ breaks
+    # `perfbench/run.py` or its `--trace 1`.  The tracer's wrappers patch
+    # modules globally, so this runs in a process of its own.
     script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+
+        import numpy as np
+
+        import inputs
         import tracer
-        from firedet.fileio import load_config
-        from firedet.model import build
+        from firedet.fileio import image_to_input, letterbox, load_config, write_ppm
+        from firedet.model import build, decode
         from firedet.nn import mac_counting
         from firedet.profiler import count_macs
         from firedet.rng import Rng
-        from firedet.tensor import no_grad, zeros
+        from firedet.tensor import from_array, no_grad, zeros
+        from firedet.train import detect_batch
+        from firedet.weights import save_weights
 
         tr = tracer.Tracer()
         tracer.install(tr)
-        model = build(load_config("configs/toy.json"), Rng(0))
+        config = load_config("configs/toy.json")
+        model = build(config, Rng(0))
         x = zeros((2, 3, 64, 64))
         tr.on = True
         with no_grad():
@@ -97,14 +108,45 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally():
             model(x)
         [(info, traced)] = tracer.forward_macs(tr)
         print(info["shape"][0], traced, count_macs(model, 64)[1] * 2, tally["macs"])
+
+        tr.spans.clear()
+        images = np.asarray(Rng(1).uniform64(2 * 3 * 64 * 64)).reshape(2, 3, 64, 64)
+        infos = [letterbox(np.zeros((48, 64, 3), np.uint8), 64)[1]] * 2
+        tr.on = True
+        root = tr.open("op.frame")
+        records = detect_batch(model, config, images, ["a", "b"], infos, 0.001)
+        tr.close(root)
+        tr.on = False
+        stats = tracer.aggregate(tr)["stats"]
+        print(stats["model.decode"]["info"]["candidates"],
+              stats["model.nms"]["info"]["candidates"], stats["model.nms"]["info"]["kept"],
+              stats["fileio.unletterbox_box"]["calls"], len(records))
+
+        work = Path(sys.argv[1])
+        weights, frame = work / "weights.bin", work / "frame.ppm"
+        weights.write_bytes(save_weights(model))
+        image = (np.asarray(Rng(2).uniform64(48 * 80 * 3)) * 255).astype(np.uint8)
+        write_ppm(frame, image.reshape(48, 80, 3))
+        threshold = inputs.top_tail_threshold(config, weights, frame, 5)
+        boxed, _ = letterbox(image.reshape(48, 80, 3), 64)
+        with no_grad():
+            maps = model(from_array(image_to_input(boxed).astype(np.float32)))
+        scores = np.sort(decode(maps, config, score_threshold=0.0).score)[::-1]
+        print(threshold == (scores[4] + scores[5]) / 2, np.count_nonzero(scores >= threshold))
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    batch, traced, counted, tallied = map(int, proc.stdout.split())
+    macs, detect, top_tail = (line.split() for line in proc.stdout.splitlines())
+    batch, traced, counted, tallied = map(int, macs)
     assert batch == 2 and traced > 0
     assert traced == counted == tallied
+    decoded, nms_in, kept, unletterbox_calls, records = map(int, detect)
+    assert decoded == nms_in == 2 * (64 + 16 + 4)  # every cell of both images
+    assert records <= kept <= nms_in
+    assert unletterbox_calls == 2  # one vector pass per image
+    assert top_tail == ["True", "5"]
 
 
 def test_grouped_convolution_divides_mac_cost():
