@@ -21,7 +21,6 @@ from dataclasses import replace
 
 from firedet.model import ModelConfig, build
 from firedet.profiler import VARIANTS, count_params, profile, variant_config
-from firedet.rng import Rng
 
 PARAM_TARGETS = {"baseline": 3.01e6, "air": 1.84e6, "dpdf": 2.52e6, "full": 1.45e6}
 PARAM_TOL = {"baseline": 0.05, "air": 0.10, "dpdf": 0.10, "full": 0.10}
@@ -40,7 +39,7 @@ HEAD_CANDIDATES = [None, 48, 64, 96]
 
 
 def params_for(base: ModelConfig, variant: str) -> int:
-    model = build(variant_config(base, variant), Rng(0))
+    model = build(variant_config(base, variant))
     return count_params(model)[1]
 
 
@@ -87,7 +86,7 @@ def main() -> int:
             print(f"\nMACs at 640 for depths={cand.blocks_per_stage} "
                   f"head={cand.head_channels}:")
             for v in VARIANTS:
-                model = build(variant_config(cand, v), Rng(0))
+                model = build(variant_config(cand, v))
                 report = profile(model, input_size=640)
                 print(f"  {v:>8}: {report.total_params:>10,} params, "
                       f"{report.gflops:.3f} GFLOPs (target ~{GFLOP_TARGETS[v]})")

@@ -3,7 +3,8 @@
 Three scopes: ``primitives`` sweeps every differentiable op on small shapes,
 ``blocks`` covers the composite blocks (attention, inverted-residual,
 dual-pool fusion, CSP, SPPF) including every parameter, and ``model`` checks
-a full toy network end to end.  All checks run in 64-bit mode; each returns
+a full toy network end to end, once on the sum of its maps and once through
+the detection loss.  All checks run in 64-bit mode; each returns
 (name, max_relative_error, tolerance) triples.
 """
 
@@ -28,7 +29,7 @@ MODEL_TOL = 1e-4
 NULL_FLOOR = 1e-6  # largest |gradient| that _null_direction_guard probes
 NULL_EPS = 1e-4  # its central-difference step along the probe direction
 NULL_SEED = 99  # seed of its +-1 probe directions
-MODEL_ELEMENTS = 1  # elements probed per parameter by the model and pipeline checks
+MODEL_ELEMENTS = 1  # elements probed per parameter by the model checks
 
 
 @dataclass(frozen=True)
@@ -262,51 +263,49 @@ def _train_forward(module, x):
 
 
 def model_check(seed: int = 0) -> list[CheckResult]:
-    """End-to-end check of sum(forward) on a (1,3,64,64) toy build.
+    """End-to-end checks of two toy builds at 64x64, one element per parameter.
 
-    Uses a smaller step (1e-5) than the unit checks: perturbing an early
+    ``model_sum_forward`` differentiates sum(forward) of one image;
+    ``detection_loss_pipeline`` differentiates the detection loss of a
+    two-image batch with three positives, its CIoU coefficients pinned.
+
+    Both use a smaller step (1e-5) than the unit checks: perturbing an early
     parameter shifts every downstream activation, and a wider step makes it
     likely that some max-pool window crosses an argmax tie between the two
     evaluations, which contaminates the difference quotient with an O(1)
     slope change.  At 1e-5 the probe stays on one side of such ties while
     64-bit rounding noise remains negligible.
     """
-    cfg = ModelConfig(num_classes=1, input_size=64, width_mult=0.125)
     results = []
     with using_dtype(np.float64):
+        cfg = ModelConfig(num_classes=1, input_size=64, width_mult=0.125)
         model = build(cfg, Rng(seed))
         x = np.asarray(Rng(seed + 1).uniform64(3 * 64 * 64),
                        dtype=np.float64).reshape(1, 3, 64, 64)
 
-        def f():
+        def f_sum():
             maps = _train_forward(model, from_array(x))
             total = tsum(maps[0])
             for m in maps[1:]:
                 total = total + tsum(m)
             return total
-        results.append(_check("model_sum_forward", f, list(model.parameters()),
+        results.append(_check("model_sum_forward", f_sum, list(model.parameters()),
                               tol=MODEL_TOL, max_elements=MODEL_ELEMENTS,
                               eps=1e-5))
-    return results
 
-
-def pipeline_check(seed: int = 0) -> list[CheckResult]:
-    """Pipeline check of the detection loss on a toy build with multi-image targets."""
-    cfg = ModelConfig(num_classes=2, input_size=64, width_mult=0.125)
-    gts = [GroundTruth(0, 1, (0.30, 0.40, 0.25, 0.25)),
-           GroundTruth(0, 0, (0.80, 0.70, 0.20, 0.30)),
-           GroundTruth(1, 1, (0.55, 0.55, 0.10, 0.10))]
-    results = []
-    with using_dtype(np.float64):
+        cfg = ModelConfig(num_classes=2, input_size=64, width_mult=0.125)
+        gts = [GroundTruth(0, 1, (0.30, 0.40, 0.25, 0.25)),
+               GroundTruth(0, 0, (0.80, 0.70, 0.20, 0.30)),
+               GroundTruth(1, 1, (0.55, 0.55, 0.10, 0.10))]
         model = build(cfg, Rng(seed))
         x = np.asarray(Rng(seed + 1).uniform64(2 * 3 * 64 * 64),
                        dtype=np.float64).reshape(2, 3, 64, 64)
-        cache: dict = {}
+        cache: list = []
 
-        def f():
+        def f_loss():
             maps = _train_forward(model, from_array(x))
             return detection_loss(maps, gts, cfg, alpha_cache=cache)[0]
-        results.append(_check("detection_loss_pipeline", f, list(model.parameters()),
+        results.append(_check("detection_loss_pipeline", f_loss, list(model.parameters()),
                               tol=MODEL_TOL, max_elements=MODEL_ELEMENTS,
                               eps=1e-5))
     return results

@@ -37,7 +37,6 @@ from .tensor import (
     using_dtype,
 )
 from .tensor import _sigmoid_np, _softplus_np  # stable scalar maps shared with decode
-from .nn import concat_channels
 from .model import STRIDES, ModelConfig, cell_box
 
 MIN_EXTENT = 1e-9  # floor of every box width and height the CIoU terms divide by
@@ -134,13 +133,6 @@ def ciou_alpha(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
         return _ciou_terms(from_array(pred_boxes), from_array(gt_boxes))[3]
 
 
-def ciou_value(pred_box, gt_box) -> float:
-    """CIoU of two plain center-format boxes (scalar convenience wrapper)."""
-    p = Tensor(np.asarray(pred_box, dtype=np.float64).reshape(1, 4, 1, 1))
-    g = Tensor(np.asarray(gt_box, dtype=np.float64).reshape(1, 4, 1, 1))
-    return 1.0 - ciou_loss(p, g).item()
-
-
 # -- target assignment -------------------------------------------------------------
 
 
@@ -157,24 +149,17 @@ class GroundTruth:
         return self.box[2] * self.box[3]
 
 
-@dataclass(frozen=True)
-class Positive:
-    """A ground truth assigned to one cell of one scale."""
-
-    image_index: int
-    scale: int
-    row: int
-    col: int
-    class_id: int
-    box: tuple[float, float, float, float]
+# A row of :func:`assign`'s positives: a ground truth on its cell, ``box`` = (cx, cy, w, h).
+POSITIVE = np.dtype([("image_index", np.int64), ("scale", np.int64), ("row", np.int64),
+                     ("col", np.int64), ("class_id", np.int64), ("box", np.float64, (4,))])
 
 
 @dataclass
 class Targets:
-    """Assignment result: per-scale one-hot class maps plus the positive list."""
+    """Assignment result: per-scale one-hot class maps plus the positives' record array."""
 
     cls_maps: list[np.ndarray]  # scale -> (B, num_classes, h, w)
-    positives: list[Positive]
+    positives: np.recarray
 
 
 def scale_bucket(box: tuple[float, float, float, float], input_size: int) -> int:
@@ -189,7 +174,11 @@ def scale_bucket(box: tuple[float, float, float, float], input_size: int) -> int
 
 def assign(gts: list[GroundTruth], config: ModelConfig, batch_size: int,
            input_size: int | None = None) -> Targets:
-    """Map ground truths to (scale, cell) positives with one-hot class maps."""
+    """Map ground truths to (scale, cell) positives with one-hot class maps.
+
+    The positives are :data:`POSITIVE` rows sorted by (image, scale, row,
+    col), at most one per cell, which one :func:`cell_box` gathers.
+    """
     size = config.resolve_input_size(input_size)
     grids = [(size // s, size // s) for s in STRIDES]
     chosen: dict[tuple[int, int, int, int], GroundTruth] = {}
@@ -209,13 +198,12 @@ def assign(gts: list[GroundTruth], config: ModelConfig, batch_size: int,
         held = chosen.get(key)
         if held is None or gt.area > held.area:
             chosen[key] = gt
+    rows = [(*cell, gt.class_id, gt.box) for cell, gt in sorted(chosen.items())]
     cls_maps = [np.zeros((batch_size, config.num_classes, gh, gw), dtype=np.float64)
                 for gh, gw in grids]
-    positives = []
-    for (b, s, row, col), gt in sorted(chosen.items()):
-        cls_maps[s][b, gt.class_id, row, col] = 1.0
-        positives.append(Positive(b, s, row, col, gt.class_id, gt.box))
-    return Targets(cls_maps=cls_maps, positives=positives)
+    for b, s, row, col, class_id, _ in rows:
+        cls_maps[s][b, class_id, row, col] = 1.0
+    return Targets(cls_maps=cls_maps, positives=np.array(rows, dtype=POSITIVE).view(np.recarray))
 
 
 # -- combined detection loss ----------------------------------------------------------
@@ -226,18 +214,19 @@ LAMBDA_CLS = 0.5
 
 
 def detection_loss(maps: list[Tensor], gts: list[GroundTruth], config: ModelConfig,
-                   alpha_cache: dict[int, np.ndarray] | None = None,
+                   alpha_cache: list[np.ndarray] | None = None,
                    ) -> tuple[Tensor, Tensor, Tensor]:
     """(total, box_term, cls_term) over a batch of raw maps.
 
     total = 7.5 * mean over positive cells of (1 - CIoU) of the decoded box
     against its ground truth, plus 0.5 * mean binary cross-entropy over every
-    (cell, class) of every scale.  With zero positives the box term is zero.
+    (cell, class) of every scale.  With zero positives the box term is zero;
+    otherwise it is one graph per step, of one size whatever their number.
 
-    The input size is read off the stride-8 map.  ``alpha_cache`` pins each
-    positive's CIoU trade-off coefficient on first use and reuses it
-    afterwards — required when a finite-difference check re-evaluates the
-    loss, since the backward pass holds alpha constant.
+    The input size is read off the stride-8 map.  An empty ``alpha_cache``
+    list pins the positives' CIoU trade-off coefficients, as one array, on
+    first use and reuses it afterwards — required when a finite-difference
+    check re-evaluates the loss, since the backward pass holds alpha constant.
     """
     batch = maps[0].shape[0]
     size = maps[0].shape[2] * STRIDES[0]
@@ -252,22 +241,13 @@ def detection_loss(maps: list[Tensor], gts: list[GroundTruth], config: ModelConf
         total_cells += n
     cls_term = cls_term * (1.0 / total_cells)
 
-    if targets.positives:
-        losses = []
-        for k, pos in enumerate(targets.positives):
-            raw = maps[pos.scale]
-            stride = STRIDES[pos.scale]
-            px_h = raw.shape[2] * stride
-            px_w = raw.shape[3] * stride
-            pred = cell_box(raw, pos.image_index, pos.row, pos.col, stride, px_w, px_h)
-            gt_t = Tensor(np.asarray(pos.box, dtype=pred.data.dtype).reshape(1, 4, 1, 1))
-            alpha = None
-            if alpha_cache is not None:
-                if k not in alpha_cache:
-                    alpha_cache[k] = ciou_alpha(pred.data, gt_t.data)
-                alpha = alpha_cache[k]
-            losses.append(ciou_loss(pred, gt_t, alpha_const=alpha))
-        box_term = tmean(concat_channels(losses))
+    positives = targets.positives
+    if len(positives):
+        pred = cell_box(maps, positives)
+        gt = Tensor(np.ascontiguousarray(positives.box.T, dtype=pred.dtype)[None, :, :, None])
+        if alpha_cache is not None and not alpha_cache:
+            alpha_cache.append(ciou_alpha(pred.data, gt.data))
+        box_term = tmean(ciou_loss(pred, gt, alpha_const=alpha_cache[0] if alpha_cache else None))
     else:
         box_term = scalar(0.0)
 

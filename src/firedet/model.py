@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng
-from .tensor import Tensor, _sigmoid_np, _softplus_np, slice4, softplus as t_softplus
+from .tensor import Tensor, _sigmoid_np, _softplus_np, make_node, slice4, softplus as t_softplus
 from .nn import Conv2d, Conv2dSpec, Module, ModuleList, concat_channels, upsample_nearest
 from .blocks import AirBlock, Cbs, CspBlock, DpdfBlock, Sppf
 from .boxes import cxcywh_to_xyxy, iou_xyxy
@@ -292,27 +292,38 @@ def decode(maps: list[Tensor], config: ModelConfig, score_threshold: float | Non
     return np.concatenate(chunks).view(np.recarray)
 
 
-def cell_box(raw: Tensor, batch: int, i: int, j: int, stride: int,
-             px_w: int, px_h: int) -> Tensor:
-    """In-graph decoded box (1, 4, 1, 1) = (cx, cy, w, h) normalized.
+def cell_box(maps: list[Tensor], positives: np.recarray) -> Tensor:
+    """In-graph decoded boxes (1, 4, P, 1) = (cx, cy, w, h) normalized of the
+    cells of ``positives`` (:data:`losses.POSITIVE` rows), in row order.
 
-    This is the differentiable twin of one :func:`decode` cell, used by the
-    regression loss.
-    """
-    cell = slice4(raw, n=slice(batch, batch + 1), c=slice(0, 4),
-                  h=slice(i, i + 1), w=slice(j, j + 1))
-    dist = t_softplus(cell) * float(stride)
-    left = slice4(dist, c=slice(0, 1))
-    top = slice4(dist, c=slice(1, 2))
-    right = slice4(dist, c=slice(2, 3))
-    bottom = slice4(dist, c=slice(3, 4))
-    cx_c = (j + 0.5) * stride
-    cy_c = (i + 0.5) * stride
-    cx = (right - left + 2.0 * cx_c) * (0.5 / px_w)
-    cy = (bottom - top + 2.0 * cy_c) * (0.5 / px_h)
-    bw = (left + right) * (1.0 / px_w)
-    bh = (top + bottom) * (1.0 / px_h)
-    return concat_channels([cx, cy, bw, bh])
+    The batched, differentiable twin of :func:`decode` before its clip, used by
+    the regression loss: one gather, whose backward assigns into zero maps (so
+    a cell may appear only once), then elementwise ops, so the graph has one
+    size whatever P is."""
+    ons = [positives.scale == s for s in range(len(maps))]
+    picks = [(m, on, positives[on]) for m, on in zip(maps, ons) if on.any()]
+    cells = np.empty((len(positives), 4), dtype=maps[0].dtype)
+    for m, on, p in picks:
+        cells[on] = m.data[p.image_index, :4, p.row, p.col]
+
+    def gather_bwd(grad: np.ndarray) -> None:
+        for m, on, p in picks:
+            full_grad = np.zeros_like(m.data)
+            full_grad[p.image_index, :4, p.row, p.col] = grad[0, :, on, 0]
+            m.accumulate_grad(full_grad)
+
+    def const(values: np.ndarray) -> Tensor:  # (k, P) -> (1, k, P, 1) in the map dtype
+        return Tensor(values.astype(cells.dtype).reshape(1, -1, len(positives), 1))
+
+    stride = np.asarray(STRIDES)[positives.scale]
+    # Rows x then y: frame width and height in px, and twice the cell centre.
+    px = np.asarray([[m.shape[3], m.shape[2]] for m in maps]).T[:, positives.scale] * stride
+    centre = 2.0 * ((np.stack([positives.col, positives.row]) + 0.5) * stride)
+    raw = make_node(np.ascontiguousarray(cells.T)[None, :, :, None], maps, gather_bwd)
+    dist = t_softplus(raw) * const(stride)
+    left_top, right_bottom = slice4(dist, c=slice(0, 2)), slice4(dist, c=slice(2, 4))
+    return concat_channels([(right_bottom - left_top + const(centre)) * const(0.5 / px),
+                            (left_top + right_bottom) * const(1.0 / px)])
 
 
 # -- non-maximum suppression ------------------------------------------------------------

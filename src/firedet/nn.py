@@ -595,9 +595,3 @@ class PartialConv(Module):
     def forward(self, x: Tensor) -> Tensor:
         return partial_conv(x, self.weight)
 
-
-def identity_kernel(channels: int) -> Tensor:
-    """Depthwise 3x3 weights that reproduce their input (center tap = 1)."""
-    w = np.zeros((channels, 1, 3, 3), dtype=default_dtype())
-    w[:, 0, 1, 1] = 1.0
-    return Tensor(w)

@@ -13,8 +13,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from firedet.boxes import cxcywh_to_xyxy, iou_xyxy
-from firedet.losses import MIN_EXTENT
-from firedet.model import CANDIDATE
+from firedet.losses import MIN_EXTENT, ciou_alpha, ciou_loss
+from firedet.model import CANDIDATE, STRIDES
+from firedet.nn import concat_channels
+from firedet.tensor import Tensor, scalar, slice4, softplus, tmean
 
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -191,6 +193,56 @@ def ciou_alpha_ref(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     iou = inter / union
     v = (4.0 / math.pi ** 2) * (np.arctan(gw / gh) - np.arctan(pw / ph)) ** 2
     return v / ((1.0 - iou) + v + 1e-12)
+
+
+def ciou_value(pred_box, gt_box) -> float:
+    """CIoU of two plain center-format boxes, through ``ciou_loss`` in float64."""
+    p = Tensor(np.asarray(pred_box, dtype=np.float64).reshape(1, 4, 1, 1))
+    g = Tensor(np.asarray(gt_box, dtype=np.float64).reshape(1, 4, 1, 1))
+    return 1.0 - ciou_loss(p, g).item()
+
+
+def cell_box_ref(raw: Tensor, batch: int, i: int, j: int, stride: int,
+                 px_w: int, px_h: int) -> Tensor:
+    """One cell's in-graph decoded box (1, 4, 1, 1): the scalar form of
+    ``model.cell_box``, with Python-float constants coerced to the map dtype."""
+    cell = slice4(raw, n=slice(batch, batch + 1), c=slice(0, 4),
+                  h=slice(i, i + 1), w=slice(j, j + 1))
+    dist = softplus(cell) * float(stride)
+    left = slice4(dist, c=slice(0, 1))
+    top = slice4(dist, c=slice(1, 2))
+    right = slice4(dist, c=slice(2, 3))
+    bottom = slice4(dist, c=slice(3, 4))
+    cx_c = (j + 0.5) * stride
+    cy_c = (i + 0.5) * stride
+    cx = (right - left + 2.0 * cx_c) * (0.5 / px_w)
+    cy = (bottom - top + 2.0 * cy_c) * (0.5 / px_h)
+    bw = (left + right) * (1.0 / px_w)
+    bh = (top + bottom) * (1.0 / px_h)
+    return concat_channels([cx, cy, bw, bh])
+
+
+def box_term_ref(maps: list[Tensor], positives, alpha_cache: dict | None = None) -> Tensor:
+    """The detection loss's box term one positive at a time: a scalar
+    :func:`cell_box_ref` and a (1, 4, 1, 1) ``ciou_loss`` per positive, joined
+    with ``concat_channels`` and averaged; ``alpha_cache`` pins alpha per
+    positive index.  Zero positives give a constant 0."""
+    if not len(positives):
+        return scalar(0.0)
+    losses = []
+    for k, pos in enumerate(positives):
+        raw = maps[pos.scale]
+        stride = STRIDES[pos.scale]
+        pred = cell_box_ref(raw, int(pos.image_index), int(pos.row), int(pos.col), stride,
+                            raw.shape[3] * stride, raw.shape[2] * stride)
+        gt = Tensor(np.asarray(pos.box, dtype=pred.data.dtype).reshape(1, 4, 1, 1))
+        alpha = None
+        if alpha_cache is not None:
+            if k not in alpha_cache:
+                alpha_cache[k] = ciou_alpha(pred.data, gt.data)
+            alpha = alpha_cache[k]
+        losses.append(ciou_loss(pred, gt, alpha_const=alpha))
+    return tmean(concat_channels(losses))
 
 
 def corners(box) -> tuple[float, float, float, float]:

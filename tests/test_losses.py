@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ciou_alpha_ref
+from oracles import box_term_ref, ciou_alpha_ref, ciou_value
 
-from firedet.losses import (GroundTruth, LAMBDA_BOX, LAMBDA_CLS, Positive,
-                            assign, bce, ciou_alpha, ciou_loss, ciou_value,
+from firedet.losses import (GroundTruth, LAMBDA_BOX, LAMBDA_CLS, POSITIVE,
+                            assign, bce, ciou_alpha, ciou_loss,
                             MIN_EXTENT, detection_loss, scale_bucket)
 from firedet.model import ModelConfig, STRIDES
 from firedet.rng import Rng
@@ -153,11 +153,14 @@ def test_assign_routes_sizes_to_matching_strides():
     targets = assign(gts, CFG640, batch_size=1)
     assert [m.shape for m in targets.cls_maps] == [
         (1, 2, 80, 80), (1, 2, 40, 40), (1, 2, 20, 20)]
-    assert targets.positives == [
-        Positive(0, 0, 20, 24, 0, gts[0].box),
-        Positive(0, 1, 20, 20, 1, gts[1].box),
-        Positive(0, 2, 15, 15, 0, gts[2].box),
-    ]
+    got = targets.positives
+    assert got.dtype == POSITIVE
+    assert got.image_index.tolist() == [0, 0, 0]
+    assert got.scale.tolist() == [0, 1, 2]
+    assert got.row.tolist() == [20, 20, 15]
+    assert got.col.tolist() == [24, 20, 15]
+    assert got.class_id.tolist() == [0, 1, 0]
+    assert list(map(tuple, got.box.tolist())) == [g.box for g in gts]
     for scale, pos in enumerate(targets.positives):
         one_hot = targets.cls_maps[scale]
         assert one_hot[0, pos.class_id, pos.row, pos.col] == 1.0
@@ -171,7 +174,7 @@ def test_assign_cell_collision_keeps_larger_box():
         targets = assign(order, CFG640, batch_size=1)
         assert len(targets.positives) == 1
         assert targets.positives[0].class_id == 1
-        assert targets.positives[0].box == large.box
+        assert tuple(targets.positives[0].box.tolist()) == large.box
         assert targets.cls_maps[0].sum() == 1.0
 
 
@@ -185,7 +188,7 @@ def test_assign_is_order_independent():
            for _ in range(40)]
     fwd = assign(gts, CFG640, batch_size=2)
     rev = assign(list(reversed(gts)), CFG640, batch_size=2)
-    assert fwd.positives == rev.positives
+    assert fwd.positives.tobytes() == rev.positives.tobytes()
     assert all(np.array_equal(a, b) for a, b in zip(fwd.cls_maps, rev.cls_maps))
 
 
@@ -253,10 +256,11 @@ def test_detection_loss_combines_terms_with_fixed_weights():
 def test_detection_loss_alpha_cache_is_filled_and_reused():
     with using_dtype(np.float64):
         maps = loss_maps(fill=0.0, seed=21)
-        gts = [GroundTruth(0, 0, (0.42, 0.37, 0.3, 0.25))]
-        cache: dict[int, np.ndarray] = {}
+        gts = [GroundTruth(0, 0, (0.42, 0.37, 0.3, 0.25)),
+               GroundTruth(0, 0, (0.8, 0.8, 0.1, 0.1))]
+        cache: list[np.ndarray] = []
         first = detection_loss(maps, gts, CFG64, alpha_cache=cache)[0].item()
-        assert len(cache) == 1
+        assert len(cache) == 1 and cache[0].shape == (1, 1, 2, 1)  # one array, all positives
         again = detection_loss(maps, gts, CFG64, alpha_cache=cache)[0].item()
         assert again == first
 
@@ -271,3 +275,101 @@ def test_detection_loss_gradient_reaches_all_maps():
         total.backward()
         for p in params:
             assert p.grad is not None and np.abs(p.grad).max() > 0.0
+
+
+# -- batched box term against the per-positive reference ------------------------------------
+
+CFG256 = ModelConfig(num_classes=2, input_size=256, width_mult=0.125)
+
+
+def _hand_gts():
+    """Two images, every scale, two images on one cell of one scale, and two
+    boxes on one stride-8 cell (the larger wins)."""
+    return [GroundTruth(0, 0, (0.30, 0.30, 0.10, 0.10)),    # 26 px -> stride 8
+            GroundTruth(0, 1, (0.301, 0.302, 0.12, 0.10)),  # same cell, larger
+            GroundTruth(0, 1, (0.52, 0.48, 0.40, 0.30)),    # 102 px -> stride 16
+            GroundTruth(0, 0, (0.70, 0.60, 0.80, 0.70)),    # 205 px -> stride 32
+            GroundTruth(1, 0, (0.52, 0.48, 0.35, 0.45)),    # image 1, same stride-16 cell
+            GroundTruth(1, 1, (0.90, 0.10, 0.05, 0.05)),
+            GroundTruth(1, 0, (0.15, 0.85, 0.04, 0.20)),
+            GroundTruth(1, 1, (0.50, 0.50, 0.90, 0.90))]
+
+
+def _random_gts(seed, n=40):
+    rng = Rng(seed)
+    return [GroundTruth(int(rng.integers(1, 0, 2)[0]), int(rng.integers(1, 0, 2)[0]),
+                        tuple(float(v) for v in (*rng.uniform64(2, 0.0, 1.0),
+                                                 *rng.uniform64(2, 0.01, 0.6))))
+            for _ in range(n)]
+
+
+def _head_params(seed, dtype):
+    return [Parameter(np.asarray(Rng(seed + s).uniform64(2 * 6 * (256 // s) ** 2, -2.0, 2.0))
+                      .reshape(2, 6, 256 // s, 256 // s).astype(dtype)) for s in STRIDES]
+
+
+def _bits(term, params):
+    """Value bytes and each map's gradient bytes (None where none arrived)."""
+    if term.requires_grad:
+        term.backward()
+    return term.data.tobytes(), [None if p.grad is None else p.grad.tobytes() for p in params]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["hand", "random", "none"])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_box_term_matches_per_positive_reference_bits(dtype, case, pinned):
+    """One gather and one CIoU over all positives give the bits of one scalar
+    ``cell_box`` and one CIoU graph per positive: the box term and the total
+    loss, by value and by every map's gradient."""
+    gts = {"hand": _hand_gts(), "random": _random_gts(31), "none": []}[case]
+    positives = assign(gts, CFG256, batch_size=2).positives
+    if case != "none":
+        assert set(positives.scale.tolist()) == {0, 1, 2}
+        assert set(positives.image_index.tolist()) == {0, 1}
+        assert len(positives) < len(gts)  # at least one cell collision
+    with using_dtype(dtype):
+        cache, cache_ref = ([], {}) if pinned else (None, None)
+        for _ in range(1 + pinned):  # a pinned cache is filled, then reused
+            params = _head_params(40, dtype)
+            got = _bits(detection_loss(params, gts, CFG256, alpha_cache=cache)[1], params)
+            params = _head_params(40, dtype)
+            want = _bits(box_term_ref(params, positives, cache_ref), params)
+            assert got == want
+            assert (None in got[1]) == (case == "none")
+
+            params = _head_params(40, dtype)
+            got = _bits(detection_loss(params, gts, CFG256)[0], params)
+            params = _head_params(40, dtype)
+            cls_term = detection_loss(params, gts, CFG256)[2]
+            want = _bits(box_term_ref(params, positives) * LAMBDA_BOX + cls_term * LAMBDA_CLS,
+                         params)
+            assert got == want
+
+
+def _taped_ops(root) -> int:
+    """Number of taped operations ``root`` depends on (leaves not counted)."""
+    seen, stack, ops = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._bwd is not None
+            stack.extend(node._parents)
+    return ops
+
+
+def test_loss_graph_does_not_grow_with_positives():
+    """1 positive and 16 positives (two images, every scale) tape the same
+    number of loss operations; the per-positive reference grows by one CIoU
+    graph per positive."""
+    many = _hand_gts() + [GroundTruth(k % 2, 0, (0.05 + 0.1 * k, 0.2, 0.05, 0.05))
+                          for k in range(9)]
+    counts, ref_counts = [], []
+    for gts in (many[:1], many):
+        params = _head_params(50, np.float32)
+        counts.append(_taped_ops(detection_loss(params, gts, CFG256)[0]))
+        ref_counts.append(_taped_ops(box_term_ref(params, assign(gts, CFG256, 2).positives)))
+    assert len(assign(many, CFG256, 2).positives) == 16
+    assert counts[0] == counts[1]
+    assert ref_counts[1] > 15 * ref_counts[0]

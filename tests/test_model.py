@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from firedet import model as model_module
 from firedet.fileio import load_config
+from firedet.losses import POSITIVE
 from firedet.model import (ConfigError, Model, ModelConfig, STRIDES, build, cell_box, decode,
                            nms)
 from firedet.profiler import VARIANTS, variant_config
@@ -144,6 +145,21 @@ def test_decode_batch_keeps_images_independent():
     assert [len(d) for d in per_image] == [1, 0]
 
 
+def every_cell(maps) -> np.recarray:
+    """:data:`losses.POSITIVE` rows for every cell of image 0, scale-major
+    then row-major: :func:`decode`'s cell order."""
+    rows = [(0, s, i, j, 0, (0.0, 0.0, 0.0, 0.0))
+            for s, m in enumerate(maps) for i in range(m.shape[2]) for j in range(m.shape[3])]
+    return np.array(rows, dtype=POSITIVE).view(np.recarray)
+
+
+def clipped(boxes: np.ndarray) -> np.ndarray:
+    """(P, 4) center-format boxes with their corners clipped to [0, 1]."""
+    cx, cy, w, h = boxes.T
+    x1, y1, x2, y2 = np.clip([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], 0.0, 1.0)
+    return np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=-1)
+
+
 def test_cell_box_matches_decode_for_interior_cells():
     """Every cell of every scale: ``cell_box`` is decode's box before the clip.
 
@@ -156,25 +172,15 @@ def test_cell_box_matches_decode_for_interior_cells():
         maps = [from_array(np.asarray(
             rng.uniform64(5 * (64 // s) * (64 // s), -3.0, 3.0))
             .reshape(1, 5, 64 // s, 64 // s)) for s in STRIDES]
-        dets = iter(decode(maps, TOY, score_threshold=0.0))  # scale-major, row-major
-        clamped = unclamped = 0
-        for raw, stride in zip(maps, STRIDES):
-            g = 64 // stride
-            for i in range(g):
-                for j in range(g):
-                    box = np.asarray(next(dets).box)
-                    cx, cy, w, h = cell_box(raw, 0, i, j, stride, 64, 64).data.reshape(4)
-                    corners = np.array([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2])
-                    if ((corners >= 0.0) & (corners <= 1.0)).all():
-                        unclamped += 1
-                        assert np.allclose(box, (cx, cy, w, h), rtol=0.0, atol=1e-12)
-                    else:
-                        clamped += 1
-                        x1, y1, x2, y2 = np.clip(corners, 0.0, 1.0)
-                        want = ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
-                        assert np.allclose(box, want, rtol=0.0, atol=1e-12), (stride, i, j)
-        assert next(dets, None) is None
-        assert clamped > 10 and unclamped > 10
+        dets = decode(maps, TOY, score_threshold=0.0)  # scale-major, row-major
+        boxes = cell_box(maps, every_cell(maps)).data[0, :, :, 0].T
+    cx, cy, w, h = boxes.T
+    corners = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+    inside = ((corners >= 0.0) & (corners <= 1.0)).all(axis=1)
+    assert len(dets) == len(boxes) == 84
+    assert np.allclose(dets.box[inside], boxes[inside], rtol=0.0, atol=1e-12)
+    assert np.allclose(dets.box[~inside], clipped(boxes[~inside]), rtol=0.0, atol=1e-12)
+    assert (~inside).sum() > 10 and inside.sum() > 10
 
 
 @st.composite
@@ -199,22 +205,21 @@ def test_decode_matches_cell_box_on_generated_raws(raws, threshold):
     with using_dtype(np.float64):
         maps = [from_array(r) for r in raws]
         dets = decode(maps, TOY, score_threshold=threshold)
-        want = []
-        for raw, stride in zip(maps, STRIDES):
-            _, c, gh, gw = raw.shape
-            px_w, px_h = gw * stride, gh * stride
-            scores = _sigmoid_np(raw.data[0, 4:])
-            for cls in range(c - 4):
-                for i, j in zip(*np.nonzero(scores[cls] >= threshold)):
-                    cx, cy, w, h = cell_box(raw, 0, i, j, stride, px_w, px_h).data.reshape(4)
-                    x1, y1, x2, y2 = np.clip([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2],
-                                             0.0, 1.0)
-                    want.append((cls, scores[cls, i, j],
-                                 ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)))
-    assert len(dets) == len(want)
-    for d, (cls, score, box) in zip(dets, want):
-        assert d.class_id == cls and d.score == score
-        assert np.allclose(d.box, box, rtol=0.0, atol=1e-12)
+        boxes = clipped(cell_box(maps, every_cell(maps)).data[0, :, :, 0].T)
+    want_cls, want_score, want_box = [], [], []
+    first = 0
+    for raw in raws:
+        scores = _sigmoid_np(raw[0, 4:]).reshape(raw.shape[1] - 4, -1)  # class, row-major cell
+        for cls, row in enumerate(scores):
+            hit = row >= threshold
+            want_cls += [cls] * int(hit.sum())
+            want_score.append(row[hit])
+            want_box.append(boxes[first: first + row.size][hit])
+        first += scores.shape[1]
+    assert first == len(boxes)
+    assert dets.class_id.tolist() == want_cls
+    assert np.array_equal(dets.score, np.concatenate(want_score))
+    assert np.allclose(dets.box, np.concatenate(want_box).reshape(-1, 4), rtol=0.0, atol=1e-12)
 
 
 # -- non-maximum suppression --------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from oracles import naive_conv2d, naive_linear, naive_partial_conv, naive_pool2d
 
 from firedet.nn import (BN_EPS, BatchNorm, Conv2dSpec, concat_channels, conv2d,
-                        global_avg_pool, identity_kernel, linear, partial_conv,
+                        global_avg_pool, linear, partial_conv,
                         pool2d, train_mode, upsample_nearest)
 from firedet.rng import Rng
 from firedet.tensor import Parameter, from_array, tsum, using_dtype
@@ -12,6 +12,13 @@ from firedet.tensor import Parameter, from_array, tsum, using_dtype
 
 def arr(rng: Rng, shape, lo=-1.0, hi=1.0):
     return np.asarray(rng.uniform64(int(np.prod(shape)), lo, hi)).reshape(shape)
+
+
+def identity_kernel(channels: int):
+    """Depthwise 3x3 weights that reproduce their input (center tap = 1)."""
+    w = np.zeros((channels, 1, 3, 3))
+    w[:, 0, 1, 1] = 1.0
+    return from_array(w)
 
 
 # ---------------------------------------------------------------------------
