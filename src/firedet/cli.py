@@ -75,8 +75,7 @@ def cmd_infer(args) -> int:
             per_image = list(pool.map(worker, args.images))
     else:
         per_image = [worker(p) for p in args.images]
-    lines = [format_detection(rec) for recs in per_image for rec in recs]
-    text = "".join(line + "\n" for line in lines)
+    text = format_detection([rec for recs in per_image for rec in recs])
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

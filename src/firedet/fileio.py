@@ -147,13 +147,18 @@ def read_ground_truth(path: str | Path) -> list[GtRecord]:
     return records
 
 
-def format_detection(rec: DetRecord) -> str:
-    return json.dumps({
-        "image": rec.image,
-        "class_id": rec.class_id,
-        "score": round(rec.score, 6),
-        "box": [round(v, 6) for v in rec.box],
-    }, separators=(", ", ": "))
+def format_detection(records: list[DetRecord]) -> str:
+    """JSONL text of ``records`` in one pass: each line is ``json.dumps`` of the
+    record's dict with separators ", " and ": " and numbers ``round(v, 6)``."""
+    names = {name: json.dumps(name) for name in {rec.image for rec in records}}
+    non_finite = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    lines = []
+    for rec in records:
+        text = [float.__repr__(round(v, 6)) for v in (rec.score, *rec.box)]
+        score, cx, cy, w, h = [non_finite.get(t, t) for t in text]
+        lines.append(f'{{"image": {names[rec.image]}, "class_id": {rec.class_id}, '
+                     f'"score": {score}, "box": [{cx}, {cy}, {w}, {h}]}}\n')
+    return "".join(lines)
 
 
 def format_ground_truth(rec: GtRecord) -> str:
@@ -227,12 +232,14 @@ def letterbox(image: np.ndarray, dst_size: int) -> tuple[np.ndarray, LetterboxIn
 def letterbox_box(box: tuple[float, float, float, float],
                   info: LetterboxInfo) -> tuple[float, float, float, float]:
     """Map a normalized [cx, cy, w, h] box from source-image coordinates into
-    the letterboxed image's normalized coordinates."""
+    the letterboxed image's normalized coordinates, each axis cut at the content
+    extent ``min(src * scale, dst_size)`` (``src * scale`` may round past it)."""
     cx, cy, w, h = box
-    return ((cx * info.src_w * info.scale + info.pad_x) / info.dst_size,
-            (cy * info.src_h * info.scale + info.pad_y) / info.dst_size,
-            w * info.src_w * info.scale / info.dst_size,
-            h * info.src_h * info.scale / info.dst_size)
+    ext_x, ext_y = (min(src * info.scale, info.dst_size) for src in (info.src_w, info.src_h))
+    return ((min(cx * info.src_w * info.scale, ext_x) + info.pad_x) / info.dst_size,
+            (min(cy * info.src_h * info.scale, ext_y) + info.pad_y) / info.dst_size,
+            min(w * info.src_w * info.scale, ext_x) / info.dst_size,
+            min(h * info.src_h * info.scale, ext_y) / info.dst_size)
 
 
 def unletterbox_box(boxes: np.ndarray, info: LetterboxInfo) -> np.ndarray:

@@ -7,11 +7,12 @@ map over (N, C, 1, 1) vectors, and the partial convolution that convolves
 only the first quarter of the channels.
 
 Convolution uses the cross-correlation convention (no kernel flip).  The
-forward pass is one GEMM per group over an im2col copy of a strided window
-view, with the batch folded into the columns (Chellapilla, Puri & Simard
-2006); the backward pass contracts the window view with ``einsum`` and
-scatter-adds per kernel offset.  Pooling makes one strided-slice pass per
-window offset.  Training is sensitive to the last bit, so these kernels
+forward pass is one GEMM per group over an im2col copy of a read-only
+``as_strided`` window view of the input, padded by filling one
+``np.empty``, with the batch folded into the columns (Chellapilla, Puri &
+Simard 2006); the backward pass contracts the window view with ``einsum``
+and scatter-adds per kernel offset.  Pooling makes one strided-slice pass
+per window offset.  Training is sensitive to the last bit, so these kernels
 are pinned byte for byte to reference forms in the tests.
 
 A MAC tally can be armed in the calling thread (see :func:`mac_counting`)
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .rng import Rng
 from .tensor import (
@@ -210,6 +211,22 @@ class Conv2dSpec:
         return self.kernel * self.kernel * (self.in_channels // self.groups) * self.out_channels * ho * wo
 
 
+def _pad(a: np.ndarray, p: int, fill: float) -> np.ndarray:
+    """``a`` with ``p`` rows and columns of ``fill`` on each side of its last two axes."""
+    if not p:
+        return a
+    out = np.empty((*a.shape[:2], a.shape[2] + 2 * p, a.shape[3] + 2 * p), dtype=a.dtype)
+    out[..., p:-p, p:-p] = a
+    out[..., :p, :] = out[..., -p:, :] = out[..., :p] = out[..., -p:] = fill
+    return out
+
+
+def _windows(a: np.ndarray, k: int, s: int, d: int, ho: int, wo: int) -> np.ndarray:
+    """Read-only (N, C, Ho, Wo, k, k) windows of ``a`` at stride ``s``, dilation ``d``."""
+    sn, sc, sh, sw = a.strides
+    return as_strided(a, (*a.shape[:2], ho, wo, k, k), (sn, sc, s * sh, s * sw, d * sh, d * sw), writeable=False)
+
+
 def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation with stride/padding/dilation/groups.
 
@@ -238,12 +255,7 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
         _add_macs(weight, n * spec.macs(h, w))
         return zeros((n, spec.out_channels, ho, wo))
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    eff = d * (k - 1) + 1
-    # (N, C, Ho, Wo, k, k) strided view; dilation subsamples within each window.
-    win = sliding_window_view(xp, (eff, eff), axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
-    win = win[:, :, :ho, :wo]
-    wing = win.reshape(n, g, cig, ho, wo, k, k)
+    wing = _windows(_pad(x.data, p, 0.0), k, s, d, ho, wo).reshape(n, g, cig, ho, wo, k, k)
     wg = weight.data.reshape(g, cog, cig, k, k)
     # im2col with the batch folded into the columns: one GEMM per group.  The
     # result is an (N, O, Ho, Wo) view of (O, N, Ho, Wo) memory, the layout
@@ -397,11 +409,7 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
     if h + 2 * p < k or w + 2 * p < k:
         raise ValueError(f"input {h}x{w} smaller than kernel {k} (padding {p})")
 
-    if p:
-        fill = -np.inf if kind == "max" else 0.0
-        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)
-    else:
-        xp = x.data
+    xp = _pad(x.data, p, -np.inf if kind == "max" else 0.0)
     hp, wp = h + 2 * p, w + 2 * p
     ho = (hp - k) // s + 1
     wo = (wp - k) // s + 1

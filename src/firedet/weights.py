@@ -20,6 +20,7 @@ both raise :class:`ArchiveError`.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -73,7 +74,7 @@ def save_records(records: list[tuple[str, np.ndarray]], precision: str = "f32") 
 
 
 def load_records(data: bytes) -> list[tuple[str, np.ndarray]]:
-    """Parse archive bytes back into (name, array) pairs (native float type)."""
+    """Parse archive bytes into (name, array) pairs; sizes are exact integer products."""
     view = memoryview(data)
     if len(view) < 12:
         raise ArchiveError(f"truncated archive: {len(view)} bytes, header needs 12")
@@ -101,7 +102,7 @@ def load_records(data: bytes) -> list[tuple[str, np.ndarray]]:
         if code not in _DTYPE_CODES:
             raise ArchiveError(f"record {i} ({name!r}): unknown dtype code {code}")
         dtype = _DTYPE_CODES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if len(view) < pos + nbytes:
             raise ArchiveError(
                 f"truncated archive in record {i} ({name!r}): "
@@ -143,4 +144,4 @@ def load_weights(data: bytes, model: Module) -> None:
         if got_name.rsplit(".", 1)[-1] == "running_var" and (got_arr < 0).any():
             raise ArchiveError(f"record {i} ({got_name!r}): negative running variance")
     for (_, got_arr), (_, want_arr) in zip(loaded, expected):
-        want_arr[...] = got_arr.astype(want_arr.dtype)
+        np.copyto(want_arr, got_arr)

@@ -7,6 +7,7 @@ library code is meaningful.  Keep these slow and obvious.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -392,3 +393,22 @@ def unletterbox_box_ref(box, info) -> tuple[float, float, float, float]:
     x2 = to_source(cx + w / 2, info.pad_x, info.src_w)
     y2 = to_source(cy + h / 2, info.pad_y, info.src_h)
     return ((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+
+
+def format_detection_ref(rec) -> str:
+    """One detection's JSONL line (no newline) through ``json.dumps`` of its dict."""
+    return json.dumps({
+        "image": rec.image,
+        "class_id": rec.class_id,
+        "score": round(rec.score, 6),
+        "box": [round(v, 6) for v in rec.box],
+    }, separators=(", ", ": "))
+
+
+def letterbox_box_ref(box, info) -> tuple[float, float, float, float]:
+    """The unclamped letterbox mapping ``(v * src * scale + pad) / dst_size``."""
+    cx, cy, w, h = box
+    return ((cx * info.src_w * info.scale + info.pad_x) / info.dst_size,
+            (cy * info.src_h * info.scale + info.pad_y) / info.dst_size,
+            w * info.src_w * info.scale / info.dst_size,
+            h * info.src_h * info.scale / info.dst_size)

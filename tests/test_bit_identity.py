@@ -105,6 +105,52 @@ def test_avg_pool_2x2_matches_flattened_mean_bits(stride):
     assert got.tobytes() == want.tobytes()
 
 
+def _strided_inputs(n, c, h, w, seed):
+    """Two non-contiguous (N, C, H, W) views: (C, N, H, W) memory, the layout
+    conv2d returns for N > 1, and a channel slice as partial_conv takes."""
+    vals = Rng(seed).uniform64(4 * n * c * h * w, -2.0, 2.0).astype(np.float32)
+    onhw = vals[: n * c * h * w].reshape(c, n, h, w).transpose(1, 0, 2, 3)
+    sliced = vals.reshape(n, 4 * c, h, w)[:, c: 2 * c]
+    return {"onhw": onhw, "channel_slice": sliced}
+
+
+@pytest.mark.parametrize("padding", [0, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+def test_conv_on_non_contiguous_inputs_matches_einsum_bits(padding, stride, dilation):
+    for layout, x in _strided_inputs(2, 4, 11, 13, seed=stride * 7 + dilation).items():
+        assert not x.flags.c_contiguous
+        for groups in (1, 4):
+            spec = nn.Conv2dSpec(4, 4, kernel=3, stride=stride, padding=padding,
+                                 dilation=dilation, groups=groups, has_bias=False)
+            w = Rng(groups).uniform64(int(np.prod(spec.weight_shape)), -1.0, 1.0) \
+                .astype(np.float32).reshape(spec.weight_shape)
+            got = nn.conv2d(from_array(x), spec, from_array(w)).data
+            want = einsum_conv2d(x, w, None, stride, padding, dilation, groups)
+            assert got.tobytes() == want.tobytes(), (layout, groups)
+
+
+@pytest.mark.parametrize("kind, kernel, stride, padding", [
+    ("max", 2, 2, 0), ("max", 3, 1, 1), ("max", 3, 3, 1), ("max", 2, 1, 1),
+    ("avg", 2, 2, 0), ("avg", 2, 1, 1), ("avg", 2, 3, 1),
+])
+def test_pool_on_non_contiguous_inputs_matches_argmax_bits(kind, kernel, stride, padding):
+    for layout, x in _strided_inputs(2, 3, 9, 10, seed=kernel + stride).items():
+        got = nn.pool2d(from_array(x), kind, kernel, stride, padding).data
+        want, _ = argmax_pool2d(x, kind, kernel, stride, padding)
+        assert got.tobytes() == want.tobytes(), layout
+
+
+def test_window_view_is_read_only_and_padding_matches_np_pad():
+    x = _strided_inputs(2, 3, 5, 6, seed=1)["onhw"]
+    for fill in (0.0, -np.inf):
+        padded = nn._pad(x, 2, fill)
+        assert padded.tobytes() == np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)),
+                                          constant_values=fill).tobytes()
+    win = nn._windows(nn._pad(x, 1, 0.0), 3, 2, 1, 3, 3)
+    assert win.shape == (2, 3, 3, 3, 3, 3) and not win.flags.writeable
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_matches_two_branch_reference(dtype):
     special = np.array([0.0, -0.0, np.inf, -np.inf, 100.0, -100.0, 800.0, -800.0, np.nan,

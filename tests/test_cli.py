@@ -2,23 +2,25 @@
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from firedet import synth
 from firedet.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from firedet.fileio import (image_to_input, letterbox, letterbox_box, load_config, read_ppm,
-                            unletterbox_box, write_ppm)
+from firedet.fileio import (format_detection, image_to_input, letterbox, letterbox_box,
+                            load_config, read_ppm, unletterbox_box, write_ppm)
+from firedet.metrics import DetRecord
 from firedet.model import ModelConfig, build
 from firedet.rng import Rng
 from firedet.tensor import Tensor
 from firedet.train import load_dataset, train_toy
-from firedet.weights import load_records, load_weights, save_weights
+from firedet.weights import load_records, load_weights, save_records, save_weights
 
-from oracles import unletterbox_box_ref
+from oracles import format_detection_ref, letterbox_box_ref, unletterbox_box_ref
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILE_GOLDEN = Path(__file__).resolve().parent / "data" / "profile"
@@ -88,11 +90,25 @@ def _source_box(draw):
 def test_letterbox_round_trip_on_generated_geometry(src_w, src_h, dst_size, box):
     _, info = letterbox(np.zeros((src_h, src_w, 3), dtype=np.uint8), dst_size)
     mapped = letterbox_box(box, info)
-    # The long side spans the frame: src * scale may round one ulp past dst.
-    assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in mapped)
+    assert all(0.0 <= v <= 1.0 for v in mapped)
     # A 1-px side of an 800-px source becomes 0.01 px, so the way back
     # divides rounding error by up to 1e-2.
     assert np.allclose(unletterbox_box(mapped, info), box, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dst_size", [64, 100, 128, 256, 640])
+def test_letterbox_box_stays_in_frame_on_every_source_width(dst_size):
+    # src * scale rounds one ulp past dst_size on the long side for some
+    # widths (183 px into 100 px, among others); a source corner must still
+    # land inside the frame, and a mapping already inside keeps its bits.
+    boxes = [(1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0), (0.5, 0.5, 1.0, 1.0), (0.3, 0.7, 0.1, 0.9)]
+    for src in range(1, 200):
+        for shape in ((1, src), (src, 1), (src // 2 + 1, src)):
+            _, info = letterbox(np.zeros((*shape, 3), dtype=np.uint8), dst_size)
+            for box in boxes:
+                got, unclamped = letterbox_box(box, info), letterbox_box_ref(box, info)
+                assert all(0.0 <= v <= 1.0 for v in got), (shape, box, got)
+                assert all(g == u for g, u in zip(got, unclamped) if u <= 1.0), (shape, box)
 
 
 # Corners beyond the frame are clamped, a NaN one to 0, and -0.0 becomes 0.0.
@@ -209,6 +225,31 @@ def test_infer_is_deterministic_and_thread_invariant(tmp_path, config_path,
     assert capsys.readouterr().out.encode() == first
 
 
+_SPECIAL_NAMES = ['a"b', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "feu-\u00e9\u706b\U0001f525"]
+_SPECIAL_NUMBERS = [0.0, -0.0, 1.0, 5e-07, 4.9999995e-07, 1e-05, 0.1 + 0.2, 5e-324, -1e-310,
+                    2.2250738585072014e-308, math.nan, math.inf, -math.inf]
+_NAMES = st.text(max_size=8) | st.sampled_from(_SPECIAL_NAMES)
+_NUMBERS = st.floats() | st.sampled_from(_SPECIAL_NUMBERS)
+
+
+@st.composite
+def _detection_lists(draw):
+    """Records over a few images, their order interleaved, possibly none."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=3))
+    return draw(st.lists(st.builds(
+        DetRecord, st.sampled_from(names), st.integers(0, 3), _NUMBERS,
+        st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS)), max_size=12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(records=_detection_lists())
+@example(records=[])
+@example(records=[DetRecord(name, 1, v, (v, 0.5, -v, v))
+                  for name in _SPECIAL_NAMES for v in _SPECIAL_NUMBERS])
+def test_format_detection_equals_per_record_json_dumps(records):
+    assert format_detection(records) == "".join(format_detection_ref(r) + "\n" for r in records)
+
+
 def test_infer_exit_codes(tmp_path, config_path, dataset_dir):
     image = str(dataset_dir / "000.ppm")
     missing = str(tmp_path / "nope.ppm")
@@ -243,6 +284,12 @@ def test_infer_exit_codes(tmp_path, config_path, dataset_dir):
     negative_var.write_bytes(bytes(blob))
     assert main(["infer", image, "--config", config_path, "--score-threshold", "0",
                  "--weights", str(negative_var)]) == EXIT_IO
+
+    # Four extents of 65,536 hold 2**64 elements, a product that wraps to 0 in int64.
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(save_records([("w", np.zeros((1, 1, 1, 1)))])[:-20]
+                     + struct.pack("<4I", *[65536] * 4))
+    assert main(["infer", image, "--config", config_path, "--weights", str(huge)]) == EXIT_IO
 
 
 def test_infer_with_weights_draws_nothing_and_ignores_the_seed(

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -375,6 +376,10 @@ def test_archive_rejects_corrupted_streams():
         load_records(blob + b"\x00\x00\x00")
     with pytest.raises(ArchiveError, match="truncated"):
         load_records(blob[:8])
+    # Four extents of 65,536 hold 2**64 elements, a product that wraps to 0 in int64.
+    huge = save_records([("w", np.zeros((1, 1, 1, 1)))])[:-20] + struct.pack("<4I", *[65536] * 4)
+    with pytest.raises(ArchiveError, match="truncated"):
+        load_records(huge)
 
 
 def test_archive_mismatch_leaves_model_untouched():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from firedet.cli import main
 from firedet.model import ModelConfig, build
 from firedet.nn import Conv2dSpec, conv2d, linear, mac_counting
 from firedet.profiler import (VARIANTS, ablation_report, count_macs,
@@ -85,6 +86,7 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
 
         import inputs
         import tracer
+        from firedet import cli
         from firedet.fileio import image_to_input, letterbox, load_config, write_ppm
         from firedet.model import build, decode
         from firedet.nn import mac_counting
@@ -133,12 +135,22 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
             maps = model(from_array(image_to_input(boxed).astype(np.float32)))
         scores = np.sort(decode(maps, config, score_threshold=0.0).score)[::-1]
         print(threshold == (scores[4] + scores[5]) / 2, np.count_nonzero(scores >= threshold))
+
+        second = work / "second.ppm"
+        write_ppm(second, image.reshape(48, 80, 3)[::-1].copy())
+        tr.spans.clear()
+        tr.on = True
+        assert cli.main(["infer", str(frame), str(second), "--config", "configs/toy.json",
+                         "--weights", str(weights), "--score-threshold", "0.001",
+                         "--out", str(work / "traced.jsonl")]) == 0
+        tr.on = False
+        print(sum(span[0] == "fileio.format_detection" for span in tr.spans))
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    macs, detect, top_tail = (line.split() for line in proc.stdout.splitlines())
+    macs, detect, top_tail, format_spans = (line.split() for line in proc.stdout.splitlines())
     batch, traced, counted, tallied = map(int, macs)
     assert batch == 2 and traced > 0
     assert traced == counted == tallied
@@ -147,6 +159,15 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
     assert records <= kept <= nms_in
     assert unletterbox_calls == 2  # one vector pass per image
     assert top_tail == ["True", "5"]
+    # The whole output is formatted in one call, and tracing changes no byte of it.
+    assert format_spans == ["1"]
+    untraced = tmp_path / "untraced.jsonl"
+    assert main(["infer", str(tmp_path / "frame.ppm"), str(tmp_path / "second.ppm"),
+                 "--config", str(REPO / "configs" / "toy.json"),
+                 "--weights", str(tmp_path / "weights.bin"), "--score-threshold", "0.001",
+                 "--out", str(untraced)]) == 0
+    traced_bytes = (tmp_path / "traced.jsonl").read_bytes()
+    assert traced_bytes == untraced.read_bytes() and len(traced_bytes.splitlines()) > 2
 
 
 def test_grouped_convolution_divides_mac_cost():
