@@ -67,8 +67,8 @@ class ChannelGate(Module):
     def __init__(self, channels: int, rng: Rng):
         super().__init__()
         hidden = gate_hidden(channels)
-        self.fc1 = Linear(channels, hidden, rng, has_bias=False)
-        self.fc2 = Linear(hidden, channels, rng, has_bias=False)
+        self.fc1 = Linear(channels, hidden, rng)
+        self.fc2 = Linear(hidden, channels, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return x * sigmoid(self.fc2(self.fc1(global_avg_pool(x)).relu()))

@@ -2,8 +2,9 @@
 
 Boxes travel as (..., 4) float64 arrays of (cx, cy, w, h) center format in
 normalized [0, 1] image coordinates, such as the ``box`` column of a
-candidate record array; the helpers here convert to corner format and
-compute intersection-over-union without touching the autodiff graph.
+candidate record array.  Both conversions between center and corner format
+live here, next to intersection-over-union; none of them touches the
+autodiff graph.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import numpy as np
 
 def cxcywh_to_xyxy(boxes: np.ndarray) -> np.ndarray:
     """(..., 4) center-format boxes to corner format."""
-    b = np.asarray(boxes, dtype=np.float64)
-    half_w = b[..., 2] / 2.0
-    half_h = b[..., 3] / 2.0
-    return np.stack(
-        [b[..., 0] - half_w, b[..., 1] - half_h, b[..., 0] + half_w, b[..., 1] + half_h],
-        axis=-1,
-    )
+    cx, cy, w, h = np.moveaxis(np.asarray(boxes, dtype=np.float64), -1, 0)
+    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+
+
+def xyxy_to_cxcywh(boxes: np.ndarray) -> np.ndarray:
+    """(..., 4) corner-format boxes to center format."""
+    x1, y1, x2, y2 = np.moveaxis(np.asarray(boxes, dtype=np.float64), -1, 0)
+    return np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=-1)
 
 
 def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -179,7 +179,7 @@ def primitive_checks(seed: int = 0) -> list[CheckResult]:
 
         # linear on (N,C,1,1)
         xv = _param(rng, (2, 6, 1, 1))
-        lin = Linear(6, 3, rng, has_bias=True)
+        lin = Linear(6, 3, rng)
         results.append(_check(
             "linear", lambda: tsum(lin(xv)), [xv, *lin.parameters()]))
 

@@ -65,8 +65,7 @@ def _infer_one(model: Model, config: ModelConfig, path: str,
 
 def cmd_infer(args) -> int:
     if args.threads < 1:
-        print("config error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--threads must be at least 1")
     config = load_config(args.config)
     model = _load_model(args, config)
     worker = lambda p: _infer_one(model, config, p, args.score_threshold)
@@ -122,9 +121,7 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.n <= 0 or args.image_size < MIN_IMAGE_SIZE:
-        print(f"config error: --n must be positive and --image-size at least {MIN_IMAGE_SIZE}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--n must be positive and --image-size at least {MIN_IMAGE_SIZE}")
     records = generate_dataset(args.n, args.seed, args.out, image_size=args.image_size)
     print(f"wrote {args.n} images, {len(records)} boxes to {args.out}")
     return EXIT_OK
@@ -132,20 +129,15 @@ def cmd_synth(args) -> int:
 
 def cmd_train_toy(args) -> int:
     if args.steps < 1:
-        print("config error: --steps must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--steps must be at least 1")
     config = load_config(args.config)
     model = _load_model(args, config)
     dataset = load_dataset(args.data, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        result = train_toy(model, config, dataset, steps=args.steps, lr=args.lr,
-                           weight_decay=args.weight_decay,
-                           log=lambda step, v: print(f"step {step:4d}  loss {v:.6f}"))
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+    result = train_toy(model, config, dataset, steps=args.steps, lr=args.lr,
+                       weight_decay=args.weight_decay,
+                       log=lambda step, v: print(f"step {step:4d}  loss {v:.6f}"))
     (out_dir / "weights.bin").write_bytes(save_weights(model, precision=args.precision))
     curve = "\n".join(json.dumps({"step": i + 1, "loss": round(v, 6)})
                       for i, v in enumerate(result.losses))
@@ -267,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, ArchiveError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except TrainingDiverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .boxes import cxcywh_to_xyxy, xyxy_to_cxcywh
 from .metrics import DetRecord, GtRecord
 from .model import ConfigError, ModelConfig
 
@@ -92,7 +93,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
 def _parse_box(obj: dict, path: str | Path, lineno: int) -> tuple[float, float, float, float]:
     box = obj.get("box")
     if (not isinstance(box, list) or len(box) != 4
-            or not all(isinstance(v, (int, float)) for v in box)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in box)):
         raise FileFormatError(f"{path}:{lineno}: 'box' must be [cx, cy, w, h]")
     cx, cy, w, h = (float(v) for v in box)
     # NaN fails every comparison, so this also rejects NaN and +-Infinity.
@@ -247,18 +248,11 @@ def unletterbox_box(boxes: np.ndarray, info: LetterboxInfo) -> np.ndarray:
     to the source image's normalized coordinates, in one vector pass.  The
     corners are clamped to [0, 1] (a NaN corner to 0), so a box lying wholly
     in the padding comes back with zero width or height."""
-    cx, cy, w, h = np.moveaxis(np.asarray(boxes, dtype=np.float64), -1, 0)
-
-    def to_source(v: np.ndarray, pad: int, size: int) -> np.ndarray:
-        v = (v * info.dst_size - pad) / info.scale / size
-        v = np.where(v > 0.0, v, 0.0)  # not np.maximum: it keeps NaN and -0.0
-        return np.where(v < 1.0, v, 1.0)
-
-    x1 = to_source(cx - w / 2, info.pad_x, info.src_w)
-    y1 = to_source(cy - h / 2, info.pad_y, info.src_h)
-    x2 = to_source(cx + w / 2, info.pad_x, info.src_w)
-    y2 = to_source(cy + h / 2, info.pad_y, info.src_h)
-    return np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=-1)
+    pad = np.array([info.pad_x, info.pad_y, info.pad_x, info.pad_y])
+    size = np.array([info.src_w, info.src_h, info.src_w, info.src_h])
+    v = (cxcywh_to_xyxy(boxes) * info.dst_size - pad) / info.scale / size
+    v = np.where(v > 0.0, v, 0.0)  # not np.maximum: it keeps NaN and -0.0
+    return xyxy_to_cxcywh(np.where(v < 1.0, v, 1.0))
 
 
 def image_to_input(image: np.ndarray) -> np.ndarray:

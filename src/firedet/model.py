@@ -24,6 +24,8 @@ probabilities (the class score doubles as objectness).
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ from .rng import Rng
 from .tensor import Tensor, _sigmoid_np, _softplus_np, make_node, slice4, softplus as t_softplus
 from .nn import Conv2d, Conv2dSpec, Module, ModuleList, concat_channels, upsample_nearest
 from .blocks import AirBlock, Cbs, CspBlock, DpdfBlock, Sppf
-from .boxes import cxcywh_to_xyxy, iou_xyxy
+from .boxes import cxcywh_to_xyxy, iou_xyxy, xyxy_to_cxcywh
 
 
 class ConfigError(ValueError):
@@ -57,7 +59,7 @@ class ModelConfig:
     blocks_per_stage: tuple[int, ...] = (1, 2, 2, 1)
     use_air: bool = False
     use_dpdf: bool = False
-    include_sppf: bool = True
+    include_sppf: bool = True  # committed configs carry the key; every variant has SPPF
     head_channels: int | None = None
     score_threshold: float = 0.25
     nms_iou_threshold: float = 0.45
@@ -66,8 +68,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.input_size % 32:
-            raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
+        if self.input_size <= 0 or self.input_size % 32:
+            raise ConfigError(f"input_size must be a positive multiple of 32, got {self.input_size}")
         if len(self.base_widths) != 5:
             raise ConfigError(f"base_widths needs 5 entries, got {len(self.base_widths)}")
         if len(self.blocks_per_stage) != 4:
@@ -80,6 +82,8 @@ class ModelConfig:
             raise ConfigError(f"nms_iou_threshold must be in [0, 1], got {self.nms_iou_threshold}")
         if self.dropout_p != 0:
             raise ConfigError(f"dropout_p must be 0 (no layer drops out), got {self.dropout_p}")
+        if not self.include_sppf:
+            raise ConfigError("include_sppf must be true (every variant ends its backbone in SPPF)")
         widths = self.scaled_widths()
         if any(w < 2 for w in widths):
             raise ConfigError(f"width_mult {self.width_mult} collapses widths to {widths}")
@@ -105,7 +109,8 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ModelConfig":
-        """Build a config from parsed JSON, rejecting unknown keys."""
+        """Build a config from parsed JSON, rejecting unknown keys and values
+        of the wrong JSON type for their field."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
         known = {f.name: f for f in dataclasses.fields(ModelConfig)}
@@ -114,16 +119,25 @@ class ModelConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = {}
         for key, value in raw.items():
-            if key in ("base_widths", "blocks_per_stage"):
-                if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
-                    raise ConfigError(f"{key} must be a list of integers")
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = value
-        try:
-            return ModelConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            what, ok = _JSON_KINDS[known[key].type]
+            if not ok(value):
+                raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
+        return ModelConfig(**kwargs)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# The JSON value each ModelConfig field annotation accepts: (description, test).
+_JSON_KINDS = {
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "float": ("a finite number", lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v)),
+    "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
 
 
 class Backbone(Module):
@@ -147,7 +161,7 @@ class Backbone(Module):
                 stages.append(ModuleList([CspBlock(cout, cout, n, rng)]))
         self.downs = ModuleList(downs)
         self.stages = ModuleList(stages)
-        self.sppf = Sppf(w[4], w[4], rng) if cfg.include_sppf else None
+        self.sppf = Sppf(w[4], w[4], rng)
 
     def forward(self, x: Tensor):
         x = self.stem(x)
@@ -159,9 +173,7 @@ class Backbone(Module):
             if i >= 1:
                 feats.append(x)
         c3, c4, c5 = feats
-        if self.sppf is not None:
-            c5 = self.sppf(c5)
-        return c3, c4, c5
+        return c3, c4, self.sppf(c5)
 
 
 class Neck(Module):
@@ -271,21 +283,13 @@ def decode(maps: list[Tensor], config: ModelConfig, score_threshold: float | Non
     chunks = []
     for m, stride in zip(maps, STRIDES):
         arr = np.asarray(m.data[batch_index], dtype=np.float64)
-        nc = arr.shape[0] - 4
-        gh, gw = arr.shape[1], arr.shape[2]
-        px_w = gw * stride
-        px_h = gh * stride
+        gh, gw = arr.shape[1:]
         dist = stride * _softplus_np(arr[:4])
         scores = _sigmoid_np(arr[4:])
-        jj, ii = np.meshgrid(np.arange(gw), np.arange(gh))
-        cx_c = (jj + 0.5) * stride
-        cy_c = (ii + 0.5) * stride
-        x1 = np.clip((cx_c - dist[0]) / px_w, 0.0, 1.0)
-        y1 = np.clip((cy_c - dist[1]) / px_h, 0.0, 1.0)
-        x2 = np.clip((cx_c + dist[2]) / px_w, 0.0, 1.0)
-        y2 = np.clip((cy_c + dist[3]) / px_h, 0.0, 1.0)
-        boxes = np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=-1)
-        for cls in range(nc):
+        cx, cy = (np.stack(np.meshgrid(np.arange(gw), np.arange(gh))) + 0.5) * stride
+        corners = np.stack([cx - dist[0], cy - dist[1], cx + dist[2], cy + dist[3]], axis=-1)
+        boxes = xyxy_to_cxcywh(np.clip(corners / (stride * np.array([gw, gh, gw, gh])), 0.0, 1.0))
+        for cls in range(len(scores)):
             hit = scores[cls] >= thr
             chunks.append(np.rec.fromarrays([np.full(np.count_nonzero(hit), cls),
                                              scores[cls][hit], boxes[hit]], dtype=CANDIDATE))

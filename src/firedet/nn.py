@@ -2,7 +2,7 @@
 
 Everything here is assembled from the autodiff ops in :mod:`firedet.tensor`:
 convolution (grouped / depthwise / dilated), batch normalization, max/avg
-pooling, 2x nearest-neighbour upsampling, channel concatenation, an affine
+pooling, 2x nearest-neighbour upsampling, channel concatenation, a linear
 map over (N, C, 1, 1) vectors, and the partial convolution that convolves
 only the first quarter of the channels.
 
@@ -10,10 +10,12 @@ Convolution uses the cross-correlation convention (no kernel flip).  The
 forward pass is one GEMM per group over an im2col copy of a read-only
 ``as_strided`` window view of the input, padded by filling one
 ``np.empty``, with the batch folded into the columns (Chellapilla, Puri &
-Simard 2006); the backward pass contracts the window view with ``einsum``
-and scatter-adds per kernel offset.  Pooling makes one strided-slice pass
-per window offset.  Training is sensitive to the last bit, so these kernels
-are pinned byte for byte to reference forms in the tests.
+Simard 2006); the backward pass contracts the window view with ``einsum``,
+and :func:`_col2im` scatter-adds the per-tap gradients back, once per kernel
+offset.  Pooling reads its taps from the same window view, one pass per
+offset, and average pooling's backward goes through the same col2im.
+Training is sensitive to the last bit, so these kernels are pinned byte for
+byte to reference forms in the tests.
 
 A MAC tally can be armed in the calling thread (see :func:`mac_counting`)
 to make conv/linear skip their arithmetic and record multiply-accumulate
@@ -136,10 +138,6 @@ class Module:
             for key in m._buffers:
                 yield _dotted(path, key), getattr(m, key)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -227,6 +225,17 @@ def _windows(a: np.ndarray, k: int, s: int, d: int, ho: int, wo: int) -> np.ndar
     return as_strided(a, (*a.shape[:2], ho, wo, k, k), (sn, sc, s * sh, s * sw, d * sh, d * sw), writeable=False)
 
 
+def _col2im(tap: np.ndarray, x: np.ndarray, k: int, s: int, p: int, d: int, ho: int, wo: int) -> np.ndarray:
+    """Gradient of ``x`` from the gradients ``tap`` (N, C, Ho, Wo, k, k) of its padded
+    :func:`_windows`: each tap added at its strided place, row-major, padding cut off."""
+    n, c, h, w = x.shape
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[:, :, ki * d: ki * d + s * ho: s, kj * d: kj * d + s * wo: s] += tap[..., ki, kj]
+    return gxp[:, :, p: p + h, p: p + w]
+
+
 def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation with stride/padding/dilation/groups.
 
@@ -277,12 +286,7 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3), keepdims=True))
         if x.requires_grad:
             contrib = np.einsum("ngohw,goikl->ngihwkl", gg, wg, optimize=True)
-            contrib = contrib.reshape(n, c, ho, wo, k, k)
-            gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
-            for ki in range(k):
-                for kj in range(k):
-                    gxp[:, :, ki * d: ki * d + s * ho: s, kj * d: kj * d + s * wo: s] += contrib[..., ki, kj]
-            x.accumulate_grad(gxp[:, :, p: p + h, p: p + w] if p else gxp)
+            x.accumulate_grad(_col2im(contrib.reshape(n, c, ho, wo, k, k), x.data, k, s, p, d, ho, wo))
 
     return make_node(out, parents, bwd)
 
@@ -410,21 +414,17 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
         raise ValueError(f"input {h}x{w} smaller than kernel {k} (padding {p})")
 
     xp = _pad(x.data, p, -np.inf if kind == "max" else 0.0)
-    hp, wp = h + 2 * p, w + 2 * p
-    ho = (hp - k) // s + 1
-    wo = (wp - k) // s + 1
-
-    def window(a: np.ndarray, j: int) -> np.ndarray:
-        """(N, C, Ho, Wo) view of element j (row-major) of every window of padded ``a``."""
-        ki, kj = divmod(j, k)
-        return a[:, :, ki: ki + s * ho: s, kj: kj + s * wo: s]
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    win = _windows(xp, k, s, 1, ho, wo)
+    taps = [win[..., ki, kj] for ki in range(k) for kj in range(k)]  # (N, C, Ho, Wo) each
 
     if kind == "max":
-        out = window(xp, 0).copy()
-        for j in range(1, k * k):
+        out = taps[0].copy()
+        for tap in taps[1:]:
             # np.maximum returns its second operand on ties, so the earlier
             # element's bits (e.g. -0.0 against +0.0) are kept.
-            np.maximum(window(xp, j), out, out=out)
+            np.maximum(tap, out, out=out)
 
         def bwd_max(grad: np.ndarray) -> None:
             if not x.requires_grad:
@@ -432,33 +432,29 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
             # First element equal to the maximum, or NaN when the maximum is NaN.
             idx = np.full(out.shape, k * k - 1, dtype=np.intp)
             for j in range(k * k - 2, -1, -1):
-                hit = window(xp, j) == out
-                hit |= np.isnan(window(xp, j))
+                hit = taps[j] == out
+                hit |= np.isnan(taps[j])
                 np.copyto(idx, j, where=hit)
-            gxp = np.zeros((n, c, hp, wp), dtype=x.data.dtype)
+            gxp = np.zeros(xp.shape, dtype=xp.dtype)
             ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=False)
             rows = hi * s + idx // k
             cols = wi * s + idx % k
             np.add.at(gxp, (ni, ci, rows, cols), grad)
-            x.accumulate_grad(gxp[:, :, p: p + h, p: p + w] if p else gxp)
+            x.accumulate_grad(gxp[:, :, p: p + h, p: p + w])
 
         return make_node(out, (x,), bwd_max)
 
     # Summed from +0 in order, as NumPy sums fewer than eight terms, so 2x2
     # windows equal the mean of the flattened window bit for bit.
     out = np.zeros((n, c, ho, wo), dtype=xp.dtype)
-    for j in range(k * k):
-        out += window(xp, j)
+    for tap in taps:
+        out += tap
     out /= k * k
 
     def bwd_avg(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        share = grad / (k * k)
-        gxp = np.zeros((n, c, hp, wp), dtype=x.data.dtype)
-        for j in range(k * k):
-            window(gxp, j)[...] += share
-        x.accumulate_grad(gxp[:, :, p: p + h, p: p + w] if p else gxp)
+        if x.requires_grad:
+            share = np.broadcast_to((grad / (k * k))[..., None, None], (*grad.shape, k, k))
+            x.accumulate_grad(_col2im(share, x.data, k, s, p, 1, ho, wo))
 
     return make_node(out, (x,), bwd_avg)
 
@@ -519,19 +515,17 @@ def channel_mean(x: Tensor) -> Tensor:
     return tmean(x, axes=1)
 
 
-# -- affine map over channel vectors -----------------------------------------------------
+# -- linear map over channel vectors ------------------------------------------------------
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map on (N, Cin, 1, 1) vectors; weight (Cout, Cin, 1, 1)."""
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """Linear map on (N, Cin, 1, 1) vectors; weight (Cout, Cin, 1, 1)."""
     n, cin, h, w = x.shape
     if h != 1 or w != 1:
         raise ValueError(f"linear expects spatial extents 1x1, got {x.shape}")
     cout, cin_w = weight.shape[0], weight.shape[1]
     if weight.shape[2] != 1 or weight.shape[3] != 1 or cin_w != cin:
         raise ValueError(f"weight shape {weight.shape} incompatible with input {x.shape}")
-    if bias is not None and bias.shape != (1, cout, 1, 1):
-        raise ValueError(f"bias shape {bias.shape} != (1, {cout}, 1, 1)")
 
     if _mac_tally.get() is not None:
         _add_macs(weight, n * cin * cout)
@@ -540,9 +534,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     xm = x.data.reshape(n, cin)
     wm = weight.data.reshape(cout, cin)
     out = (xm @ wm.T).reshape(n, cout, 1, 1)
-    if bias is not None:
-        out = out + bias.data
-    parents = [x, weight] if bias is None else [x, weight, bias]
 
     def bwd(grad: np.ndarray) -> None:
         gm = grad.reshape(n, cout)
@@ -550,22 +541,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             x.accumulate_grad((gm @ wm).reshape(n, cin, 1, 1))
         if weight.requires_grad:
             weight.accumulate_grad((gm.T @ xm).reshape(cout, cin, 1, 1))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(gm.sum(axis=0).reshape(1, cout, 1, 1))
 
-    return make_node(out, parents, bwd)
+    return make_node(out, [x, weight], bwd)
 
 
 class Linear(Module):
-    """Learnable affine map over (N, C, 1, 1) vectors."""
+    """Learnable bias-free linear map over (N, C, 1, 1) vectors."""
 
-    def __init__(self, in_features: int, out_features: int, rng: Rng, has_bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: Rng):
         super().__init__()
         self.weight = kaiming_uniform((out_features, in_features, 1, 1), rng, in_features)
-        self.bias = Parameter(np.zeros((1, out_features, 1, 1), dtype=default_dtype())) if has_bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
+        return linear(x, self.weight)
 
 
 # -- partial convolution ---------------------------------------------------------------------

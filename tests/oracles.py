@@ -130,6 +130,41 @@ def argmax_max_pool_grad(x: np.ndarray, grad: np.ndarray, kernel: int,
     return gxp[:, :, p: p + h, p: p + w]
 
 
+def scatter_conv_input_grad(x: np.ndarray, w: np.ndarray, grad: np.ndarray, stride: int,
+                            padding: int, dilation: int, groups: int) -> np.ndarray:
+    """Input gradient of conv2d as it was written before ``nn._col2im``: the
+    einsum's per-tap contributions added into the padded gradient one kernel
+    offset at a time, row-major, then the padding cut off."""
+    n, c, h, ww = x.shape
+    cout, cig, k, _ = w.shape
+    g, s, p, d = groups, stride, padding, dilation
+    ho, wo = grad.shape[2:]
+    gg = grad.reshape(n, g, cout // g, ho, wo)
+    wg = w.reshape(g, cout // g, cig, k, k)
+    contrib = np.einsum("ngohw,goikl->ngihwkl", gg, wg, optimize=True).reshape(n, c, ho, wo, k, k)
+    gxp = np.zeros((n, c, h + 2 * p, ww + 2 * p), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[:, :, ki * d: ki * d + s * ho: s, kj * d: kj * d + s * wo: s] += contrib[..., ki, kj]
+    return gxp[:, :, p: p + h, p: p + ww]
+
+
+def slice_avg_pool_grad(x: np.ndarray, grad: np.ndarray, kernel: int, stride: int,
+                        padding: int) -> np.ndarray:
+    """Input gradient of average pooling as it was written before
+    ``nn._col2im``: ``grad / k**2`` added into each window element's strided
+    slice of the padded gradient, in row-major window order."""
+    n, c, h, w = x.shape
+    k, s, p = kernel, stride, padding
+    ho, wo = grad.shape[2:]
+    share = grad / (k * k)
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    for j in range(k * k):
+        ki, kj = divmod(j, k)
+        gxp[:, :, ki: ki + s * ho: s, kj: kj + s * wo: s] += share
+    return gxp[:, :, p: p + h, p: p + w]
+
+
 def where_sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic function evaluating both branches."""
     z = np.exp(-np.abs(x))
@@ -149,7 +184,7 @@ def splitmix64_ref(seed: int, count: int) -> list[int]:
     return out
 
 
-def naive_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+def naive_linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     n, cin = x.shape[0], x.shape[1]
     cout = w.shape[0]
     out = np.zeros((n, cout, 1, 1), dtype=x.dtype)
@@ -159,8 +194,6 @@ def naive_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> n
             for ic in range(cin):
                 acc += x[ni, ic, 0, 0] * w[oc, ic, 0, 0]
             out[ni, oc, 0, 0] = acc
-    if b is not None:
-        out = out + b.reshape(1, cout, 1, 1)
     return out
 
 

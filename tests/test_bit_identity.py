@@ -1,4 +1,5 @@
-"""The conv, pool and sigmoid kernels equal their reference forms bit for bit.
+"""The conv, pool and sigmoid kernels and the conv and avg-pool input
+gradients equal their reference forms bit for bit.
 
 Training is chaotic in the last bit: a ten-step AdamW run amplifies a one-ulp
 change in a forward kernel into a visibly different loss curve.  So the
@@ -12,7 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import argmax_max_pool_grad, argmax_pool2d, einsum_conv2d, where_sigmoid
+from oracles import (argmax_max_pool_grad, argmax_pool2d, einsum_conv2d, scatter_conv_input_grad,
+                     slice_avg_pool_grad, where_sigmoid)
 
 import firedet.attention
 import firedet.blocks
@@ -21,7 +23,7 @@ from firedet.fileio import load_config
 from firedet.model import build
 from firedet.nn import train_mode
 from firedet.rng import Rng
-from firedet.tensor import Parameter, _sigmoid_np, from_array
+from firedet.tensor import Parameter, _sigmoid_np, from_array, using_dtype
 
 
 def _layout(a: np.ndarray) -> list[int]:
@@ -138,6 +140,53 @@ def test_pool_on_non_contiguous_inputs_matches_argmax_bits(kind, kernel, stride,
     for layout, x in _strided_inputs(2, 3, 9, 10, seed=kernel + stride).items():
         got = nn.pool2d(from_array(x), kind, kernel, stride, padding).data
         want, _ = argmax_pool2d(x, kind, kernel, stride, padding)
+        assert got.tobytes() == want.tobytes(), layout
+
+
+def _grad_inputs(n, c, h, w, dtype, seed):
+    """A contiguous (N, C, H, W) array and a non-contiguous one of (C, N, H, W) memory."""
+    vals = Rng(seed).uniform64(2 * n * c * h * w, -2.0, 2.0).astype(dtype)
+    return {"contiguous": vals[: n * c * h * w].reshape(n, c, h, w),
+            "onhw": vals[n * c * h * w:].reshape(c, n, h, w).transpose(1, 0, 2, 3)}
+
+
+def _input_grad(out, xp, seed):
+    """``xp.grad`` after backpropagating a seeded gradient from ``out``."""
+    grad = Rng(seed).uniform64(out.data.size, -1.0, 1.0).astype(out.data.dtype).reshape(out.shape)
+    out.backward(grad)
+    return grad, xp.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+def test_conv_input_gradient_matches_scatter_reference_bits(dtype, padding, stride, dilation):
+    with using_dtype(dtype):
+        for layout, x in _grad_inputs(2, 4, 11, 12, dtype, seed=stride * 7 + dilation).items():
+            for groups in (1, 4):
+                spec = nn.Conv2dSpec(4, 6 if groups == 1 else 4, kernel=3, stride=stride,
+                                     padding=padding, dilation=dilation, groups=groups,
+                                     has_bias=False)
+                w = Rng(groups + padding).uniform64(int(np.prod(spec.weight_shape)), -1.0, 1.0) \
+                    .astype(dtype).reshape(spec.weight_shape)
+                xp = Parameter(x)
+                grad, got = _input_grad(nn.conv2d(xp, spec, from_array(w)), xp, seed=padding)
+                want = scatter_conv_input_grad(x, w, grad, stride, padding, dilation, groups)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes(), (layout, groups)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel, stride, padding", [
+    (2, 1, 0), (2, 2, 1), (3, 1, 1), (3, 2, 0), (3, 3, 1), (4, 1, 2), (5, 2, 2), (5, 3, 2),
+])
+def test_avg_pool_input_gradient_matches_slice_reference_bits(dtype, kernel, stride, padding):
+    for layout, x in _grad_inputs(2, 3, 10, 9, dtype, seed=kernel * 10 + stride).items():
+        xp = Parameter(x)
+        grad, got = _input_grad(nn.pool2d(xp, "avg", kernel, stride, padding), xp, seed=padding)
+        want = slice_avg_pool_grad(x, grad, kernel, stride, padding)
+        assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes(), layout
 
 

@@ -357,6 +357,7 @@ GOOD_GT = '{"image": "a.ppm", "class_id": 0, "box": [0.5, 0.5, 0.2, 0.2]}'
     '"box": [1.2, 0.5, 0.2, 0.2]',
     '"box": [0.5, 0.5, 0.0, 0.2]',
     '"box": [0.5, 0.5, 0.2, -0.2]',
+    '"box": [true, 0.5, 0.5, 0.5]',  # JSON true is not the number 1
 ])
 def test_eval_rejects_non_finite_and_out_of_range_boxes(tmp_path, which, bad):
     files = {"dets": GOOD_DET, "gts": GOOD_GT}
@@ -552,12 +553,65 @@ def test_train_toy_rejects_bad_steps(tmp_path, config_path, dataset_dir, capsys)
                  "--steps", "1", "--out", str(tmp_path / "y")]) == EXIT_IO
 
 
-def test_nonzero_dropout_is_a_config_error(tmp_path, dataset_dir, capsys):
-    cfg = tmp_path / "dropout.json"
+@pytest.mark.parametrize("key, value", [("dropout_p", 0.3), ("include_sppf", False)])
+def test_config_keys_without_a_variable_path_are_config_errors(tmp_path, dataset_dir, capsys,
+                                                              key, value):
+    cfg = tmp_path / f"{key}.json"
     cfg.write_text(json.dumps({"num_classes": 1, "input_size": 64, "width_mult": 0.125,
-                               "use_air": True, "dropout_p": 0.3}))
+                               "use_air": True, key: value}))
     image = str(dataset_dir / "000.ppm")
     assert main(["infer", image, "--config", str(cfg)]) == EXIT_CONFIG
     assert main(["train-toy", "--config", str(cfg), "--data", str(dataset_dir),
                  "--steps", "1", "--out", str(tmp_path / "run")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.count("dropout_p") == 2
+    assert capsys.readouterr().err.count(key) == 2
+
+
+@pytest.mark.parametrize("verb", ["infer", "train-toy"])
+@pytest.mark.parametrize("key, value", [
+    ("input_size", 64.0),
+    ("num_classes", True),
+    ("use_air", "false"),
+    ("use_dpdf", 0),
+    ("include_sppf", None),
+    ("width_mult", True),
+    ("width_mult", float("nan")),  # json.dumps writes NaN, which json.loads reads back
+    ("score_threshold", False),
+    ("head_channels", 8.0),
+    ("blocks_per_stage", [1, True, 1, 1]),
+])
+def test_config_values_of_the_wrong_json_type_are_config_errors(tmp_path, dataset_dir, capsys,
+                                                                verb, key, value):
+    raw = {"num_classes": 1, "input_size": 64, "width_mult": 0.125, key: value}
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(raw))
+    argv = {"infer": ["infer", str(dataset_dir / "000.ppm"), "--config", str(cfg)],
+            "train-toy": ["train-toy", "--config", str(cfg), "--data", str(dataset_dir),
+                          "--steps", "1", "--out", str(tmp_path / "run")]}[verb]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+
+
+@pytest.mark.parametrize("config", sorted(str(p) for p in (REPO / "configs").glob("*.json"))
+                         + [str(REPO / "perfbench" / "configs" / "full-256.json")])
+def test_committed_configs_load(config):
+    assert isinstance(load_config(config), ModelConfig)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, code, line", [
+    (["infer", "{image}", "--config", "{config}", "--threads", "0"],
+     EXIT_CONFIG, "config error: --threads must be at least 1"),
+    (["train-toy", "--config", "{config}", "--data", "{data}", "--steps", "0", "--out", "{out}"],
+     EXIT_CONFIG, "config error: --steps must be at least 1"),
+    (["synth", "--n", "0", "--out", "{out}"],
+     EXIT_CONFIG, f"config error: --n must be positive and --image-size at least {synth.MIN_IMAGE_SIZE}"),
+    (["train-toy", "--config", "{config}", "--data", "{data}", "--steps", "3", "--lr", "1e30",
+      "--out", "{out}"],
+     EXIT_CHECK, "error: loss became non-finite at step 2"),
+], ids=["threads", "steps", "synth-n", "diverged"])
+def test_main_maps_each_error_to_its_exit_code_and_stderr_line(tmp_path, config_path, dataset_dir,
+                                                               capsys, argv, code, line):
+    fields = {"image": str(dataset_dir / "000.ppm"), "config": config_path,
+              "data": str(dataset_dir), "out": str(tmp_path / "out")}
+    assert main([a.format(**fields) for a in argv]) == code
+    assert capsys.readouterr().err == line + "\n"

@@ -471,6 +471,8 @@ def test_seeded_archive_matches_golden(config, variant):
     {"dropout_p": 0.3},  # no layer drops out, so only 0 is accepted
     {"use_dpdf": True, "width_mult": 0.1},  # widths not divisible by 4
     {"head_channels": 0},
+    {"input_size": 0},
+    {"input_size": -32},
 ])
 def test_config_rejects_contract_violations(kwargs):
     base = dict(num_classes=1, input_size=64, width_mult=0.125)

@@ -97,13 +97,10 @@ def test_linear_matches_naive_loops_fuzz():
             n = 1 + int(rng.integers(1, 0, 4)[0])
             cin = 1 + int(rng.integers(1, 0, 12)[0])
             cout = 1 + int(rng.integers(1, 0, 12)[0])
-            has_bias = bool(rng.integers(1, 0, 2)[0])
             x = arr(rng, (n, cin, 1, 1))
             wt = arr(rng, (cout, cin, 1, 1))
-            b = arr(rng, (1, cout, 1, 1)) if has_bias else None
-            got = linear(from_array(x), from_array(wt),
-                         None if b is None else from_array(b)).data
-            want = naive_linear(x, wt, None if b is None else b.reshape(cout))
+            got = linear(from_array(x), from_array(wt)).data
+            want = naive_linear(x, wt)
             assert np.abs(got - want).max() < 1e-6
 
 

@@ -1,0 +1,28 @@
+"""Repository tooling under ``scripts/`` runs and reports what it promises."""
+
+import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from firedet.model import ModelConfig
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_code_size_prints_one_json_line_of_three_counts():
+    # Run with NumPy made unimportable: the script reads the source as text.
+    script = REPO / "scripts" / "code_size.py"
+    code = ("import runpy, sys; sys.modules['numpy'] = None; "
+            f"runpy.run_path({str(script)!r}, run_name='__main__')")
+    out = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.count("\n") == 1
+    counts = json.loads(out)
+    assert sorted(counts) == ["config_fields", "defaulted_params", "src_lines"]
+    assert all(isinstance(v, int) and v > 0 for v in counts.values())
+    assert counts["config_fields"] == len(dataclasses.fields(ModelConfig))
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in (REPO / "src" / "firedet").rglob("*.py"))
+    assert counts["src_lines"] == lines
