@@ -10,10 +10,9 @@ parallel max-pool and avg-pool paths, each refined by a partial convolution
 and spatial/channel calibration, fused by a learnable convex coefficient
 alpha = sigmoid(alpha_raw).  ``CspBlock`` (split-transform-merge bottleneck
 stack) and ``Sppf`` (spatial pyramid pooling, fast) complete the baseline
-skeleton the ablations are measured against.
-
-Closed-form parameter-count formulas for the two novel blocks are exposed so
-an independent counter can cross-check the generic profiler.
+skeleton the ablations are measured against.  Closed-form parameter counts
+of the novel blocks live with the test oracles, which check the modules
+against them.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from .rng import Rng
 from .tensor import Parameter, Tensor, default_dtype, sigmoid, slice4
 from .nn import BatchNorm, Conv2d, Conv2dSpec, Module, ModuleList, PartialConv, concat_channels, pool2d
-from .attention import CasAttention, ChannelCalibrate, SpatialCalibrate, gate_hidden
+from .attention import CasAttention, ChannelCalibrate, SpatialCalibrate
 
 
 class ConvBn(Module):
@@ -175,36 +174,3 @@ class Sppf(Module):
         y2 = pool2d(y1, "max", kernel=5, stride=1, padding=2)
         y3 = pool2d(y2, "max", kernel=5, stride=1, padding=2)
         return self.cv2(concat_channels([y0, y1, y2, y3]))
-
-
-# -- closed-form parameter counts (cross-checks for the generic profiler) ----------
-
-
-def cas_param_count(c: int) -> int:
-    """Parameters of the additive attention at width c (all convs bias-free)."""
-    h = gate_hidden(c)
-    qkv = c * 3 * c
-    spatial = 2 * (9 * c + 9 * c * c)  # per gate: depthwise 3x3 + full 3x3
-    channel = 2 * (c * h + h * c)
-    out_dw = 9 * c
-    return qkv + spatial + channel + out_dw
-
-
-def air_param_count(c: int) -> int:
-    """Closed-form parameter count of one shape-preserving bottleneck block."""
-    r = math.ceil(c / 4)
-    reduce = c * r + 2 * r
-    dw = 9 * r + 2 * r
-    expand = r * c + 2 * c
-    return reduce + dw + cas_param_count(r) + expand
-
-
-def dpdf_param_count(c_in: int, c_out: int) -> int:
-    """Closed-form parameter count of one dual-pool downsampling block."""
-    h = gate_hidden(c_in)
-    pconv = 2 * 9 * (c_in // 4)
-    sa = 2 * (2 * 49)
-    ca = 2 * (c_in * h + h * c_in)
-    alpha = 1
-    project = c_in * c_out + 2 * c_out if c_out != c_in else 0
-    return pconv + sa + ca + alpha + project

@@ -23,15 +23,13 @@ counts instead, for the whole batch of each call and keyed by the weight
 tensor it used — the analytic cost model and the executable graph share one
 definition this way, and a caller that knows the parameters' names can
 group the counts.  :func:`train_mode` switches BatchNorm, the one layer
-whose behaviour depends on the mode, to batch statistics.  Like
-:func:`firedet.tensor.no_grad`, both switches live in :mod:`contextvars`, so
-they reach the calling thread only.  Calling a :class:`Module` only runs its
-``forward``.
+whose behaviour depends on the mode, to batch statistics.  Both are
+:func:`firedet.tensor.switched` modes, like ``no_grad``, so they reach the
+calling thread only.  Calling a :class:`Module` only runs its ``forward``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 from dataclasses import dataclass
 from typing import Iterator
@@ -47,6 +45,7 @@ from .tensor import (
     kaiming_uniform,
     make_node,
     slice4,
+    switched,
     tmean,
     zeros,
 )
@@ -57,7 +56,6 @@ from .tensor import (
 _mac_tally = contextvars.ContextVar("mac_tally", default=None)
 
 
-@contextlib.contextmanager
 def mac_counting(tally: dict):
     """Arm MAC counting: conv/linear add to ``tally['macs']`` and skip arithmetic.
 
@@ -72,11 +70,7 @@ def mac_counting(tally: dict):
     """
     tally.setdefault("macs", 0)
     tally.setdefault("by_weight", {})
-    token = _mac_tally.set(tally)
-    try:
-        yield tally
-    finally:
-        _mac_tally.reset(token)
+    return switched(_mac_tally, tally)
 
 
 def _add_macs(weight: Tensor, count: int) -> None:
@@ -313,17 +307,12 @@ BN_MOMENTUM = 0.1
 _training = contextvars.ContextVar("training", default=False)
 
 
-@contextlib.contextmanager
 def train_mode():
     """Mark the calling thread as training: BatchNorm uses batch statistics.
 
     Off by default, so a thread that never enters it (an ``infer --threads``
     worker too) uses running statistics."""
-    token = _training.set(True)
-    try:
-        yield
-    finally:
-        _training.reset(token)
+    return switched(_training, True)
 
 
 class BatchNorm(Module):

@@ -44,10 +44,6 @@ class Rng:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
-    def next_u64(self) -> int:
-        """Draw one 64-bit value."""
-        return int(self._block(1)[0])
-
     def _block(self, n: int) -> np.ndarray:
         """Draw n uint64 values as one vectorized block."""
         z = np.arange(1, n + 1, dtype=np.uint64)

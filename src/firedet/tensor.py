@@ -14,8 +14,8 @@ Gradients accumulate across separate forward/backward rounds until
 The default element type is float32; :func:`using_dtype` switches the
 calling thread to float64 for high-precision gradient verification.  Every
 mode is per thread (the element type, :func:`no_grad`, and
-:mod:`firedet.nn`'s ``mac_counting`` and ``train_mode``): each lives in
-:mod:`contextvars`, so one thread's switch never reaches another's tensors.
+:mod:`firedet.nn`'s ``mac_counting`` and ``train_mode``): :func:`switched`
+sets each in :mod:`contextvars`, so no thread's switch reaches another's.
 """
 
 from __future__ import annotations
@@ -39,26 +39,26 @@ def default_dtype():
 
 
 @contextlib.contextmanager
+def switched(var: contextvars.ContextVar, value):
+    """Context manager that sets ``var`` to ``value`` in the calling thread only."""
+    token = var.set(value)
+    try:
+        yield value
+    finally:
+        var.reset(token)
+
+
 def using_dtype(dtype):
     """Context manager that switches the calling thread's default element type."""
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    token = _default_dtype.set(dt.type)
-    try:
-        yield
-    finally:
-        _default_dtype.reset(token)
+    return switched(_default_dtype, dt.type)
 
 
-@contextlib.contextmanager
 def no_grad():
     """Context manager that disables graph construction in the calling thread."""
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
+    return switched(_grad_enabled, False)
 
 
 def _check_rank4(arr: np.ndarray, what: str) -> None:
@@ -188,11 +188,11 @@ def make_node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.nda
 # -- creation ------------------------------------------------------------------
 
 
-def from_array(arr, requires_grad: bool = False) -> Tensor:
+def from_array(arr) -> Tensor:
     """Tensor from a rank-4 array-like, cast to the default element type."""
     a = np.asarray(arr, dtype=_default_dtype.get())
     _check_rank4(a, "array")
-    return Tensor(a, requires_grad=requires_grad)
+    return Tensor(a)
 
 
 def scalar(value: float) -> Tensor:
@@ -308,14 +308,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes, keepdims=True)
 
 
-def _binary_shapes(a: Tensor, b: Tensor) -> tuple[int, ...]:
-    sa, sb = a.shape, b.shape
-    for i in range(4):
-        if sa[i] != sb[i] and sa[i] != 1 and sb[i] != 1:
-            raise ValueError(f"shapes {sa} and {sb} are not broadcast-compatible")
-    return tuple(max(sa[i], sb[i]) for i in range(4))
-
-
 def _coerce(other, like: Tensor) -> Tensor:
     if isinstance(other, Tensor):
         return other
@@ -324,74 +316,52 @@ def _coerce(other, like: Tensor) -> Tensor:
     raise TypeError(f"cannot combine Tensor with {type(other).__name__}")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b)
-    out = a.data + b.data
+def _binary(a: Tensor, b: Tensor, forward: Callable) -> Tensor:
+    """Broadcasting op: ``forward(x, y)`` runs after the shape check and returns
+    ``(value, da, db)``, where ``da(g)`` and ``db(g)`` are ``g`` times each partial;
+    each is summed to its operand's shape, and skipped if that needs no grad."""
+    sa, sb = a.shape, b.shape
+    if any(i != j and i != 1 and j != 1 for i, j in zip(sa, sb)):
+        raise ValueError(f"shapes {sa} and {sb} are not broadcast-compatible")
+    out, da, db = forward(a.data, b.data)
 
     def bwd(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g, a.shape))
-        b.accumulate_grad(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(da(g), sa))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(db(g), sb))
 
     return make_node(out, (a, b), bwd)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _binary(a, b, lambda x, y: (x + y, lambda g: g, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b)
-    out = a.data - b.data
-
-    def bwd(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g, a.shape))
-        b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return make_node(out, (a, b), bwd)
+    return _binary(a, b, lambda x, y: (x - y, lambda g: g, np.negative))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b)
-    out = a.data * b.data
-
-    def bwd(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return make_node(out, (a, b), bwd)
+    return _binary(a, b, lambda x, y: (x * y, lambda g: g * y, lambda g: g * x))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b)
-    out = a.data / b.data
+    return _binary(a, b, lambda x, y: (x / y, lambda g: g / y, lambda g: -g * x / (y * y)))
 
-    def bwd(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-        b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return make_node(out, (a, b), bwd)
+def _first_on_ties(value: np.ndarray, take_a: np.ndarray):
+    return value, lambda g: g * take_a, lambda g: g * ~take_a
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; ties route the gradient to the first argument."""
-    _binary_shapes(a, b)
-    out = np.minimum(a.data, b.data)
-    take_a = a.data <= b.data
-
-    def bwd(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g * take_a, a.shape))
-        b.accumulate_grad(_unbroadcast(g * ~take_a, b.shape))
-
-    return make_node(out, (a, b), bwd)
+    return _binary(a, b, lambda x, y: _first_on_ties(np.minimum(x, y), x <= y))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
-    _binary_shapes(a, b)
-    out = np.maximum(a.data, b.data)
-    take_a = a.data >= b.data
-
-    def bwd(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g * take_a, a.shape))
-        b.accumulate_grad(_unbroadcast(g * ~take_a, b.shape))
-
-    return make_node(out, (a, b), bwd)
+    return _binary(a, b, lambda x, y: _first_on_ties(np.maximum(x, y), x >= y))
 
 
 # -- reductions -------------------------------------------------------------------

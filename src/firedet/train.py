@@ -25,7 +25,7 @@ from .tensor import Parameter, Tensor, from_array, no_grad
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the 1-based step number."""
+    """A step's loss or arithmetic became non-finite; carries the 1-based step number."""
 
     def __init__(self, step: int):
         super().__init__(f"loss became non-finite at step {step}")
@@ -116,24 +116,30 @@ class TrainResult:
 def train_toy(model: Model, config: ModelConfig, dataset: ToyDataset,
               steps: int, lr: float = LR, weight_decay: float = WEIGHT_DECAY,
               log=None) -> TrainResult:
-    """Full-batch training loop.  Raises TrainingDiverged on non-finite loss.
+    """Full-batch training loop.
 
     Each step's forward pass runs in :func:`firedet.nn.train_mode` (batch
     statistics, running-stat updates); the saved weights therefore carry
-    converged running statistics for inference."""
+    converged running statistics for inference.  A step whose loss is
+    non-finite, or whose arithmetic overflows, divides by zero or makes an
+    invalid value, raises :class:`TrainingDiverged`."""
     opt = AdamW(list(model.parameters()), lr=lr, weight_decay=weight_decay)
     batch = from_array(np.asarray(dataset.batch, dtype=np.float32))
     losses, box_losses, cls_losses = [], [], []
     for step in range(1, steps + 1):
         opt.zero_grad()
-        with train_mode():
-            maps = model(batch)
-        total, box_term, cls_term = detection_loss(maps, dataset.gts, config)
-        value = total.item()
-        if not np.isfinite(value):
-            raise TrainingDiverged(step)
-        total.backward()
-        opt.step()
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                with train_mode():
+                    maps = model(batch)
+                total, box_term, cls_term = detection_loss(maps, dataset.gts, config)
+                value = total.item()
+                if not np.isfinite(value):
+                    raise FloatingPointError
+                total.backward()
+                opt.step()
+        except FloatingPointError:
+            raise TrainingDiverged(step) from None
         losses.append(value)
         box_losses.append(box_term.item())
         cls_losses.append(cls_term.item())

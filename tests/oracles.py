@@ -13,6 +13,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from firedet.attention import gate_hidden
 from firedet.boxes import cxcywh_to_xyxy, iou_xyxy
 from firedet.losses import MIN_EXTENT, ciou_alpha, ciou_loss
 from firedet.model import CANDIDATE, STRIDES
@@ -445,3 +446,33 @@ def letterbox_box_ref(box, info) -> tuple[float, float, float, float]:
             (cy * info.src_h * info.scale + info.pad_y) / info.dst_size,
             w * info.src_w * info.scale / info.dst_size,
             h * info.src_h * info.scale / info.dst_size)
+
+
+def cas_param_count(c: int) -> int:
+    """Parameters of the additive attention at width c (all convs bias-free)."""
+    h = gate_hidden(c)
+    qkv = c * 3 * c
+    spatial = 2 * (9 * c + 9 * c * c)  # per gate: depthwise 3x3 + full 3x3
+    channel = 2 * (c * h + h * c)
+    out_dw = 9 * c
+    return qkv + spatial + channel + out_dw
+
+
+def air_param_count(c: int) -> int:
+    """Closed-form parameter count of one shape-preserving bottleneck block."""
+    r = math.ceil(c / 4)
+    reduce = c * r + 2 * r
+    dw = 9 * r + 2 * r
+    expand = r * c + 2 * c
+    return reduce + dw + cas_param_count(r) + expand
+
+
+def dpdf_param_count(c_in: int, c_out: int) -> int:
+    """Closed-form parameter count of one dual-pool downsampling block."""
+    h = gate_hidden(c_in)
+    pconv = 2 * 9 * (c_in // 4)
+    sa = 2 * (2 * 49)
+    ca = 2 * (c_in * h + h * c_in)
+    alpha = 1
+    project = c_in * c_out + 2 * c_out if c_out != c_in else 0
+    return pconv + sa + ca + alpha + project

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import air_param_count, cas_param_count, dpdf_param_count
+
 from firedet.attention import CasAttention
-from firedet.blocks import (AirBlock, Bottleneck, Cbs, ConvBn, CspBlock,
-                            DpdfBlock, Sppf, air_param_count, cas_param_count,
-                            dpdf_param_count)
+from firedet.blocks import AirBlock, Bottleneck, Cbs, ConvBn, CspBlock, DpdfBlock, Sppf
 from firedet.rng import Rng
 from firedet.tensor import from_array, tsum, using_dtype
 

@@ -545,6 +545,19 @@ def test_optimizer_flags_require_a_finite_non_negative_value(
     assert flag in capsys.readouterr().err
 
 
+def test_diverging_train_toy_prints_one_error_line(tmp_path, dataset_dir, capsys):
+    # lr 1e30 makes step 2's forward overflow.  The step stops at the first
+    # overflow and reports it as divergence: one stderr line, no NumPy
+    # warnings (under this suite's warning filter they would be errors).
+    code = main(["train-toy", "--config", str(REPO / "configs" / "toy.json"),
+                 "--data", str(dataset_dir), "--steps", "3", "--lr", "1e30",
+                 "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == EXIT_CHECK
+    assert captured.err == "error: loss became non-finite at step 2\n"
+    assert captured.out.splitlines()[0].startswith("step    1  loss ")
+
+
 def test_train_toy_rejects_bad_steps(tmp_path, config_path, dataset_dir, capsys):
     assert main(["train-toy", "--config", config_path, "--data", str(dataset_dir),
                  "--steps", "0", "--out", str(tmp_path / "x")]) == EXIT_CONFIG

@@ -170,6 +170,52 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
     assert traced_bytes == untraced.read_bytes() and len(traced_bytes.splitlines()) > 2
 
 
+def test_traced_node_count_matches_the_taped_graph(tmp_path):
+    # perfbench's tensor.make_node.calls counts the calls of the tracer's
+    # stand-in for the module-level make_node, so it is right only if every
+    # op that tapes a node calls that name.  One toy detection loss: the
+    # count must equal the taped nodes reachable from the loss.
+    script = textwrap.dedent("""
+        import sys
+
+        import tracer
+        from firedet import cli
+        from firedet.fileio import load_config
+        from firedet.losses import detection_loss
+        from firedet.model import build
+        from firedet.nn import train_mode
+        from firedet.rng import Rng
+        from firedet.tensor import from_array
+        from firedet.train import load_dataset
+
+        tr = tracer.Tracer()
+        tracer.install(tr)
+        assert cli.main(["synth", "--n", "8", "--seed", "3", "--out", sys.argv[1]]) == 0
+        config = load_config("configs/toy.json")
+        data = load_dataset(sys.argv[1], config)
+        model = build(config, Rng(0))
+        tr.on = True
+        with train_mode():
+            maps = model(from_array(data.batch))
+        total, _, _ = detection_loss(maps, data.gts, config)
+        tr.on = False
+        seen, stack, taped = set(), [total], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                taped += node._bwd is not None
+                stack.extend(node._parents)
+        print(tr.nodes, taped)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "data")], cwd=REPO,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced, taped = map(int, proc.stdout.split()[-2:])
+    assert traced == taped > 0
+
+
 def test_grouped_convolution_divides_mac_cost():
     spec = Conv2dSpec(in_channels=8, out_channels=8, kernel=3, padding=1,
                       groups=8, has_bias=False)
