@@ -2,9 +2,9 @@
 JSON model configs, and letterbox geometry.
 
 PPM P6 keeps image I/O dependency-free and bit-exact.  Each detection is one
-JSON object per line with fields ``image``, ``class_id``, ``score`` (finite)
-and ``box`` ([cx, cy, w, h], normalized: each in [0, 1], w and h positive);
-ground-truth lines are identical minus ``score``.
+JSON object per line with fields ``image``, ``class_id`` (an integer >= 0),
+``score`` (finite) and ``box`` ([cx, cy, w, h], normalized: each in [0, 1],
+w and h positive); ground-truth lines are identical minus ``score``.
 """
 
 from __future__ import annotations
@@ -125,27 +125,26 @@ def _require(obj: dict, key: str, kinds, path, lineno):
     return value
 
 
+def _class_id(obj: dict, path, lineno) -> int:
+    value = _require(obj, "class_id", int, path, lineno)
+    if value < 0:
+        raise FileFormatError(f"{path}:{lineno}: 'class_id' must be non-negative, got {value}")
+    return value
+
+
 def read_detections(path: str | Path) -> list[DetRecord]:
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        records.append(DetRecord(
-            image=_require(obj, "image", str, path, lineno),
-            class_id=int(_require(obj, "class_id", int, path, lineno)),
-            score=float(_require(obj, "score", (int, float), path, lineno)),
-            box=_parse_box(obj, path, lineno),
-        ))
-    return records
+    return [DetRecord(image=_require(obj, "image", str, path, lineno),
+                      class_id=_class_id(obj, path, lineno),
+                      score=float(_require(obj, "score", (int, float), path, lineno)),
+                      box=_parse_box(obj, path, lineno))
+            for lineno, obj in _iter_jsonl(path)]
 
 
 def read_ground_truth(path: str | Path) -> list[GtRecord]:
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        records.append(GtRecord(
-            image=_require(obj, "image", str, path, lineno),
-            class_id=int(_require(obj, "class_id", int, path, lineno)),
-            box=_parse_box(obj, path, lineno),
-        ))
-    return records
+    return [GtRecord(image=_require(obj, "image", str, path, lineno),
+                     class_id=_class_id(obj, path, lineno),
+                     box=_parse_box(obj, path, lineno))
+            for lineno, obj in _iter_jsonl(path)]
 
 
 def format_detection(records: list[DetRecord]) -> str:

@@ -27,13 +27,13 @@ from .tensor import (
     Tensor,
     atan,
     from_array,
-    make_node,
     maximum,
     minimum,
     relu,
     scalar,
     slice4,
     tmean,
+    unary,
     using_dtype,
 )
 from .tensor import _sigmoid_np, _softplus_np  # stable scalar maps shared with decode
@@ -52,13 +52,7 @@ def bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     z = logits.data
     elem = np.maximum(z, 0.0) - z * t + _softplus_np(-np.abs(z))
     out = elem.mean(keepdims=True).reshape(1, 1, 1, 1)
-    count = z.size
-
-    def bwd(grad: np.ndarray) -> None:
-        if logits.requires_grad:
-            logits.accumulate_grad(grad.reshape(()) * (_sigmoid_np(z) - t) / count)
-
-    return make_node(out, (logits,), bwd)
+    return unary(logits, out, lambda g: g.reshape(()) * (_sigmoid_np(z) - t) / z.size)
 
 
 def _coord(boxes: Tensor, idx: int) -> Tensor:

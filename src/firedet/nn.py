@@ -22,10 +22,11 @@ to make conv/linear skip their arithmetic and record multiply-accumulate
 counts instead, for the whole batch of each call and keyed by the weight
 tensor it used — the analytic cost model and the executable graph share one
 definition this way, and a caller that knows the parameters' names can
-group the counts.  :func:`train_mode` switches BatchNorm, the one layer
-whose behaviour depends on the mode, to batch statistics.  Both are
-:func:`firedet.tensor.switched` modes, like ``no_grad``, so they reach the
-calling thread only.  Calling a :class:`Module` only runs its ``forward``.
+group the counts.  BatchNorm, the one layer whose behaviour depends on
+the mode, is one normalization whose statistics come from the batch under
+:func:`train_mode` and from its running averages otherwise.  Both switches
+are :func:`firedet.tensor.switched` modes, like ``no_grad``, so they reach
+the calling thread only.  Calling a :class:`Module` only runs its ``forward``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .tensor import (
     slice4,
     switched,
     tmean,
+    unary,
     zeros,
 )
 
@@ -316,14 +318,14 @@ def train_mode():
 
 
 class BatchNorm(Module):
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization: ``gamma * (x - mean) / sqrt(var + BN_EPS) + beta``.
 
-    In train mode (:func:`train_mode`) it normalizes by the batch mean and
-    biased variance over (N, H, W), updating the running statistics in place
+    Only the source of ``mean`` and ``var`` depends on the mode.  In train
+    mode (:func:`train_mode`) they are the batch mean and biased variance
+    over (N, H, W), and the running statistics move toward them in place
     with ``running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch``
     (biased variance throughout, documented convention).  Otherwise (infer
-    mode, the default) it applies the affine map using the stored
-    statistics.  Both modes divide by ``sqrt(var + BN_EPS)``.  Both modes are
+    mode, the default) they are the running statistics.  Both modes are
     differentiable; train mode backpropagates through the batch statistics.
     """
 
@@ -340,41 +342,33 @@ class BatchNorm(Module):
         if x.shape[1] != self.channels:
             raise ValueError(f"input has {x.shape[1]} channels, layer has {self.channels}")
         gamma, beta = self.gamma, self.beta
-        if not _training.get():
-            inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat_data = (x.data - self.running_mean) * inv_std
-
-            def bwd_infer(grad: np.ndarray) -> None:
-                if x.requires_grad:
-                    x.accumulate_grad(grad * (gamma.data * inv_std))
-                if gamma.requires_grad:
-                    gamma.accumulate_grad((grad * xhat_data).sum(axis=(0, 2, 3), keepdims=True))
-                if beta.requires_grad:
-                    beta.accumulate_grad(grad.sum(axis=(0, 2, 3), keepdims=True))
-
-            return make_node(gamma.data * xhat_data + beta.data, [x, gamma, beta], bwd_infer)
-
         axes = (0, 2, 3)
-        mean = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
+        training = _training.get()
+        if training:
+            mean = x.data.mean(axis=axes, keepdims=True)
+            var = x.data.var(axis=axes, keepdims=True)
+            self.running_mean[...] = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var[...] = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
+        else:
+            mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean) * inv_std
 
-        self.running_mean[...] = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
-        self.running_var[...] = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
-
-        def bwd_train(grad: np.ndarray) -> None:
+        def bwd(grad: np.ndarray) -> None:
+            if x.requires_grad:
+                if training:  # through the batch statistics too
+                    gh = grad * gamma.data
+                    gx = inv_std * (gh - gh.mean(axis=axes, keepdims=True)
+                                    - xhat * (gh * xhat).mean(axis=axes, keepdims=True))
+                else:
+                    gx = grad * (gamma.data * inv_std)
+                x.accumulate_grad(gx)
             if gamma.requires_grad:
                 gamma.accumulate_grad((grad * xhat).sum(axis=axes, keepdims=True))
             if beta.requires_grad:
                 beta.accumulate_grad(grad.sum(axis=axes, keepdims=True))
-            if x.requires_grad:
-                gh = grad * gamma.data
-                mean_gh = gh.mean(axis=axes, keepdims=True)
-                mean_gh_xhat = (gh * xhat).mean(axis=axes, keepdims=True)
-                x.accumulate_grad(inv_std * (gh - mean_gh - xhat * mean_gh_xhat))
 
-        return make_node(gamma.data * xhat + beta.data, [x, gamma, beta], bwd_train)
+        return make_node(gamma.data * xhat + beta.data, [x, gamma, beta], bwd)
 
 
 # -- pooling and resampling ---------------------------------------------------------------
@@ -415,9 +409,7 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
             # element's bits (e.g. -0.0 against +0.0) are kept.
             np.maximum(tap, out, out=out)
 
-        def bwd_max(grad: np.ndarray) -> None:
-            if not x.requires_grad:
-                return
+        def grad_max(grad: np.ndarray) -> np.ndarray:
             # First element equal to the maximum, or NaN when the maximum is NaN.
             idx = np.full(out.shape, k * k - 1, dtype=np.intp)
             for j in range(k * k - 2, -1, -1):
@@ -429,9 +421,9 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
             rows = hi * s + idx // k
             cols = wi * s + idx % k
             np.add.at(gxp, (ni, ci, rows, cols), grad)
-            x.accumulate_grad(gxp[:, :, p: p + h, p: p + w])
+            return gxp[:, :, p: p + h, p: p + w]
 
-        return make_node(out, (x,), bwd_max)
+        return unary(x, out, grad_max)
 
     # Summed from +0 in order, as NumPy sums fewer than eight terms, so 2x2
     # windows equal the mean of the flattened window bit for bit.
@@ -440,12 +432,11 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
         out += tap
     out /= k * k
 
-    def bwd_avg(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            share = np.broadcast_to((grad / (k * k))[..., None, None], (*grad.shape, k, k))
-            x.accumulate_grad(_col2im(share, x.data, k, s, p, 1, ho, wo))
+    def grad_avg(grad: np.ndarray) -> np.ndarray:
+        share = np.broadcast_to((grad / (k * k))[..., None, None], (*grad.shape, k, k))
+        return _col2im(share, x.data, k, s, p, 1, ho, wo)
 
-    return make_node(out, (x,), bwd_avg)
+    return unary(x, out, grad_avg)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -457,12 +448,7 @@ def upsample_nearest(x: Tensor) -> Tensor:
     """Replicate each pixel 2 x 2; backward sums the replicas."""
     n, c, h, w = x.shape
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-
-    def bwd(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(grad.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
-
-    return make_node(out, (x,), bwd)
+    return unary(x, out, lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
@@ -488,15 +474,13 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
 def channel_max(x: Tensor) -> Tensor:
     """Maximum over channels, shape (N, 1, H, W); first channel wins ties."""
     idx = x.data.argmax(axis=1, keepdims=True)
-    out = np.take_along_axis(x.data, idx, axis=1)
 
-    def bwd(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, idx, grad, axis=1)
-            x.accumulate_grad(gx)
+    def grad(g: np.ndarray) -> np.ndarray:
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, idx, g, axis=1)
+        return gx
 
-    return make_node(out, (x,), bwd)
+    return unary(x, np.take_along_axis(x.data, idx, axis=1), grad)
 
 
 def channel_mean(x: Tensor) -> Tensor:

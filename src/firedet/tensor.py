@@ -6,8 +6,11 @@ operation's broadcasting and reduction semantics explicit and testable.
 
 Differentiation is taped: each operation returns a new :class:`Tensor`
 holding references to its parents and a closure that routes the output
-gradient to them.  :meth:`Tensor.backward` replays the tape in reverse
-topological order and then frees it, so a graph can be traversed once.
+gradient to them.  The node builders :func:`unary` (one input) and
+``_binary`` (two broadcast inputs) write that closure from an op's local
+derivatives; other ops pass their own to :func:`make_node`.
+:meth:`Tensor.backward` replays the tape in reverse topological order and
+then frees it, so a graph can be traversed once.
 Gradients accumulate across separate forward/backward rounds until
 :meth:`Tensor.zero_grad` clears them.
 
@@ -175,7 +178,9 @@ def make_node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.nda
     """Wrap an op result in a graph node when gradients are live.
 
     ``bwd`` receives the output gradient and must route contributions to the
-    parents via :meth:`Tensor.accumulate_grad`.
+    parents via :meth:`Tensor.accumulate_grad`.  A node is taped only when a
+    parent requires grad, so a one-input op's ``bwd`` needs no check;
+    :func:`unary` and ``_binary`` build ``bwd`` from the op's local derivatives.
     """
     req = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
@@ -183,6 +188,12 @@ def make_node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.nda
         out._parents = tuple(parents)
         out._bwd = bwd
     return out
+
+
+def unary(x: Tensor, out: np.ndarray, grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """One-input op: the node for value ``out`` whose backward adds ``grad(g)``,
+    the gradient of ``x`` given the output gradient ``g``, into ``x``."""
+    return make_node(out, (x,), lambda g: x.accumulate_grad(grad(g)))
 
 
 # -- creation ------------------------------------------------------------------
@@ -244,57 +255,30 @@ def _softplus_np(x: np.ndarray) -> np.ndarray:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(g * (x.data > 0))
-
-    return make_node(out, (x,), bwd)
+    return unary(x, np.maximum(x.data, 0.0), lambda g: g * (x.data > 0))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid_np(x.data)
-
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(g * s * (1.0 - s))
-
-    return make_node(s, (x,), bwd)
+    return unary(x, s, lambda g: g * s * (1.0 - s))
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     s = _sigmoid_np(x.data)
-    out = x.data * s
-
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(g * s * (1.0 + x.data * (1.0 - s)))
-
-    return make_node(out, (x,), bwd)
+    return unary(x, x.data * s, lambda g: g * s * (1.0 + x.data * (1.0 - s)))
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = _softplus_np(x.data)
-
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(g * _sigmoid_np(x.data))
-
-    return make_node(out, (x,), bwd)
+    return unary(x, _softplus_np(x.data), lambda g: g * _sigmoid_np(x.data))
 
 
 def atan(x: Tensor) -> Tensor:
-    out = np.arctan(x.data)
-
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(g / (1.0 + x.data * x.data))
-
-    return make_node(out, (x,), bwd)
+    return unary(x, np.arctan(x.data), lambda g: g / (1.0 + x.data * x.data))
 
 
 def neg(x: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(-g)
-
-    return make_node(-x.data, (x,), bwd)
+    return unary(x, -x.data, np.negative)
 
 
 # -- elementwise binary ----------------------------------------------------------
@@ -380,13 +364,8 @@ def _norm_axes(axes: int | Iterable[int] | None) -> tuple[int, ...]:
 
 def tsum(x: Tensor, axes: int | Iterable[int] | None = None) -> Tensor:
     """Sum over the given axes; the result stays rank-4 (kept dims of size 1)."""
-    ax = _norm_axes(axes)
-    out = x.data.sum(axis=ax, keepdims=True)
-
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
-
-    return make_node(out, (x,), bwd)
+    out = x.data.sum(axis=_norm_axes(axes), keepdims=True)
+    return unary(x, out, lambda g: np.broadcast_to(g, x.shape).copy())
 
 
 def tmean(x: Tensor, axes: int | Iterable[int] | None = None) -> Tensor:
@@ -394,11 +373,7 @@ def tmean(x: Tensor, axes: int | Iterable[int] | None = None) -> Tensor:
     ax = _norm_axes(axes)
     count = int(np.prod([x.shape[a] for a in ax]))
     out = x.data.mean(axis=ax, keepdims=True)
-
-    def bwd(g: np.ndarray) -> None:
-        x.accumulate_grad(np.broadcast_to(g, x.shape).copy() / count)
-
-    return make_node(out, (x,), bwd)
+    return unary(x, out, lambda g: np.broadcast_to(g, x.shape).copy() / count)
 
 
 # -- structural ops ---------------------------------------------------------------
@@ -411,14 +386,13 @@ def slice4(x: Tensor, n: slice = slice(None), c: slice = slice(None),
         if s.step not in (None, 1):
             raise ValueError(f"slice4 supports step-1 slices only (axis {name})")
     key = (n, c, h, w)
-    out = x.data[key].copy()
 
-    def bwd(g: np.ndarray) -> None:
+    def grad(g: np.ndarray) -> np.ndarray:
         full_grad = np.zeros_like(x.data)
         full_grad[key] = g
-        x.accumulate_grad(full_grad)
+        return full_grad
 
-    return make_node(out, (x,), bwd)
+    return unary(x, x.data[key].copy(), grad)
 
 
 # -- operator sugar ----------------------------------------------------------------

@@ -78,8 +78,8 @@ class ToyDataset:
 
 
 def load_dataset(data_dir: str | Path, config: ModelConfig) -> ToyDataset:
-    """Read every PPM under ``data_dir`` plus ``gts.jsonl``; letterbox to the
-    config input size when shapes differ."""
+    """Read every PPM under ``data_dir`` plus ``gts.jsonl``, whose class ids must
+    be the config's; letterbox to the config input size when shapes differ."""
     data_dir = Path(data_dir)
     paths = sorted(data_dir.glob("*.ppm"))
     if not paths:
@@ -100,6 +100,8 @@ def load_dataset(data_dir: str | Path, config: ModelConfig) -> ToyDataset:
     for rec in gt_records:
         if rec.image not in index:
             raise FileFormatError(f"ground truth references unknown image {rec.image!r}")
+        if rec.class_id >= config.num_classes:
+            raise FileFormatError(f"{gt_path}: class_id {rec.class_id} outside {config.num_classes} classes")
         i = index[rec.image]
         gts.append(GroundTruth(i, rec.class_id, letterbox_box(rec.box, infos[i])))
     return ToyDataset(np.stack(planes), gts, gt_records,

@@ -17,7 +17,7 @@ from firedet.attention import gate_hidden
 from firedet.boxes import cxcywh_to_xyxy, iou_xyxy
 from firedet.losses import MIN_EXTENT, ciou_alpha, ciou_loss
 from firedet.model import CANDIDATE, STRIDES
-from firedet.nn import concat_channels
+from firedet.nn import BN_EPS, BN_MOMENTUM, concat_channels
 from firedet.tensor import Tensor, scalar, slice4, softplus, tmean
 
 
@@ -164,6 +164,33 @@ def slice_avg_pool_grad(x: np.ndarray, grad: np.ndarray, kernel: int, stride: in
         ki, kj = divmod(j, k)
         gxp[:, :, ki: ki + s * ho: s, kj: kj + s * wo: s] += share
     return gxp[:, :, p: p + h, p: p + w]
+
+
+def batchnorm_ref(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
+                  running_var: np.ndarray, grad: np.ndarray, training: bool):
+    """Batch normalization as it was written with one forward per mode:
+    (output, running mean, running var, x grad, gamma grad, beta grad).
+    Train mode normalizes by the batch's mean and biased variance and moves
+    the running statistics toward them; infer mode reads the running ones."""
+    axes = (0, 2, 3)
+    if training:
+        mean = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (x - mean) * inv_std
+        running_mean = ((1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean).astype(running_mean.dtype)
+        running_var = ((1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var).astype(running_var.dtype)
+        gh = grad * gamma
+        mean_gh = gh.mean(axis=axes, keepdims=True)
+        mean_gh_xhat = (gh * xhat).mean(axis=axes, keepdims=True)
+        gx = inv_std * (gh - mean_gh - xhat * mean_gh_xhat)
+    else:
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
+        xhat = (x - running_mean) * inv_std
+        gx = grad * (gamma * inv_std)
+    out = gamma * xhat + beta
+    return (out, running_mean, running_var, gx,
+            (grad * xhat).sum(axis=axes, keepdims=True), grad.sum(axis=axes, keepdims=True))
 
 
 def where_sigmoid(x: np.ndarray) -> np.ndarray:

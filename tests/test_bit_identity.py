@@ -1,5 +1,5 @@
-"""The conv, pool and sigmoid kernels and the conv and avg-pool input
-gradients equal their reference forms bit for bit.
+"""The conv, pool and sigmoid kernels, the conv and avg-pool input gradients
+and BatchNorm in both modes equal their reference forms bit for bit.
 
 Training is chaotic in the last bit: a ten-step AdamW run amplifies a one-ulp
 change in a forward kernel into a visibly different loss curve.  So the
@@ -13,8 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import (argmax_max_pool_grad, argmax_pool2d, einsum_conv2d, scatter_conv_input_grad,
-                     slice_avg_pool_grad, where_sigmoid)
+from oracles import (argmax_max_pool_grad, argmax_pool2d, batchnorm_ref, einsum_conv2d,
+                     scatter_conv_input_grad, slice_avg_pool_grad, where_sigmoid)
 
 import firedet.attention
 import firedet.blocks
@@ -188,6 +188,30 @@ def test_avg_pool_input_gradient_matches_slice_reference_bits(dtype, kernel, str
         want = slice_avg_pool_grad(x, grad, kernel, stride, padding)
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes(), layout
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [False, True])
+def test_batchnorm_matches_reference_bits(dtype, training):
+    names = ("output", "running_mean", "running_var", "x.grad", "gamma.grad", "beta.grad")
+    with using_dtype(dtype):
+        for layout, x in _grad_inputs(3, 4, 5, 6, dtype, seed=9).items():
+            layer = nn.BatchNorm(4)
+            vals = Rng(10).uniform64(16, 0.5, 1.5).astype(dtype).reshape(4, 1, 4, 1, 1)
+            layer.gamma.data[...], layer.running_var[...] = vals[0], vals[1]
+            layer.beta.data[...], layer.running_mean[...] = vals[2] - 1.0, vals[3] - 1.0
+            before = (layer.gamma.data.copy(), layer.beta.data.copy(),
+                      layer.running_mean.copy(), layer.running_var.copy())
+            xp = Parameter(x)
+            with train_mode() if training else contextlib.nullcontext():
+                out = layer(xp)
+            grad, gx = _input_grad(out, xp, seed=4)
+            got = (out.data, layer.running_mean, layer.running_var, gx,
+                   layer.gamma.grad, layer.beta.grad)
+            want = batchnorm_ref(x, *before, grad, training)
+            for name, g, w in zip(names, got, want):
+                assert g.dtype == w.dtype == dtype, (layout, name)
+                assert g.tobytes() == w.tobytes(), (layout, name)
 
 
 def test_window_view_is_read_only_and_padding_matches_np_pad():

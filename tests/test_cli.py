@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import struct
 from pathlib import Path
 
@@ -358,6 +359,7 @@ GOOD_GT = '{"image": "a.ppm", "class_id": 0, "box": [0.5, 0.5, 0.2, 0.2]}'
     '"box": [0.5, 0.5, 0.0, 0.2]',
     '"box": [0.5, 0.5, 0.2, -0.2]',
     '"box": [true, 0.5, 0.5, 0.5]',  # JSON true is not the number 1
+    '"box": [0.5, 0.5, 0.2, 0.2], "class_id": -1',  # the later key wins: a negative class
 ])
 def test_eval_rejects_non_finite_and_out_of_range_boxes(tmp_path, which, bad):
     files = {"dets": GOOD_DET, "gts": GOOD_GT}
@@ -556,6 +558,19 @@ def test_diverging_train_toy_prints_one_error_line(tmp_path, dataset_dir, capsys
     assert code == EXIT_CHECK
     assert captured.err == "error: loss became non-finite at step 2\n"
     assert captured.out.splitlines()[0].startswith("step    1  loss ")
+
+
+def test_train_toy_rejects_a_class_id_outside_the_config(tmp_path, dataset_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    gts = data / "gts.jsonl"
+    gts.write_text(gts.read_text().replace('"class_id": 0', '"class_id": 5', 1))
+    code = main(["train-toy", "--config", str(REPO / "configs" / "toy.json"),  # 1 class
+                 "--data", str(data), "--steps", "1", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
+    assert str(gts) in err and "class_id 5" in err
 
 
 def test_train_toy_rejects_bad_steps(tmp_path, config_path, dataset_dir, capsys):
