@@ -10,8 +10,8 @@ Convolution uses the cross-correlation convention (no kernel flip).  The
 forward pass is one GEMM per group over an im2col copy of a read-only
 ``as_strided`` window view of the input, padded by filling one
 ``np.empty``, with the batch folded into the columns (Chellapilla, Puri &
-Simard 2006); the backward pass contracts the window view with ``einsum``,
-and :func:`_col2im` scatter-adds the per-tap gradients back, once per kernel
+Simard 2006); the backward pass is the transposed GEMMs over those columns,
+and :func:`_col2im` scatter-adds the column gradients back, once per kernel
 offset.  Pooling reads its taps from the same window view, one pass per
 offset, and average pooling's backward goes through the same col2im.
 Training is sensitive to the last bit, so these kernels are pinned byte for
@@ -261,28 +261,27 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
         return zeros((n, spec.out_channels, ho, wo))
 
     wing = _windows(_pad(x.data, p, 0.0), k, s, d, ho, wo).reshape(n, g, cig, ho, wo, k, k)
-    wg = weight.data.reshape(g, cog, cig, k, k)
+    wg = weight.data.reshape(g, cog, cig * k * k)
     # im2col with the batch folded into the columns: one GEMM per group.  The
     # result is an (N, O, Ho, Wo) view of (O, N, Ho, Wo) memory, the layout
     # einsum produced, so BatchNorm's reductions keep their summation order.
     cols = wing.transpose(1, 2, 5, 6, 0, 3, 4).reshape(g, cig * k * k, n * ho * wo)
-    out = np.matmul(wg.reshape(g, cog, cig * k * k), cols)
-    out = out.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
+    out = np.matmul(wg, cols).reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out = out + bias.data
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 
     def bwd(grad: np.ndarray) -> None:
-        gg = grad.reshape(n, g, cog, ho, wo)
+        # grad @ colsᵀ for the weight; Wᵀ @ grad, the column gradient, for x.
+        gg = grad.transpose(1, 0, 2, 3).reshape(g, cog, n * ho * wo)
         if weight.requires_grad:
-            gw = np.einsum("ngihwkl,ngohw->goikl", wing, gg, optimize=True)
-            weight.accumulate_grad(gw.reshape(spec.weight_shape))
+            weight.accumulate_grad(np.matmul(gg, cols.transpose(0, 2, 1)).reshape(spec.weight_shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(grad.sum(axis=(0, 2, 3), keepdims=True))
         if x.requires_grad:
-            contrib = np.einsum("ngohw,goikl->ngihwkl", gg, wg, optimize=True)
-            x.accumulate_grad(_col2im(contrib.reshape(n, c, ho, wo, k, k), x.data, k, s, p, d, ho, wo))
+            gcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(c, k, k, n, ho, wo)
+            x.accumulate_grad(_col2im(gcols.transpose(3, 0, 4, 5, 1, 2), x.data, k, s, p, d, ho, wo))
 
     return make_node(out, parents, bwd)
 
@@ -344,22 +343,28 @@ class BatchNorm(Module):
         gamma, beta = self.gamma, self.beta
         axes = (0, 2, 3)
         training = _training.get()
-        if training:
-            mean = x.data.mean(axis=axes, keepdims=True)
-            var = x.data.var(axis=axes, keepdims=True)
+        mean = x.data.mean(axis=axes, keepdims=True) if training else self.running_mean
+        xhat = x.data - mean
+        if training:  # np.var's steps, so its bits, over the centred x
+            var = np.square(xhat).sum(axis=axes, keepdims=True) / (x.size // self.channels)
             self.running_mean[...] = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var[...] = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x.data - mean) * inv_std
+        xhat *= inv_std
 
         def bwd(grad: np.ndarray) -> None:
             if x.requires_grad:
                 if training:  # through the batch statistics too
+                    # inv_std * (gh - mean(gh) - xhat * mean(gh * xhat)) in place, into
+                    # gh * xhat's buffer: the memory order the unfused form gave gx.
                     gh = grad * gamma.data
-                    gx = inv_std * (gh - gh.mean(axis=axes, keepdims=True)
-                                    - xhat * (gh * xhat).mean(axis=axes, keepdims=True))
+                    gx = gh * xhat
+                    m1, m2 = gh.mean(axis=axes, keepdims=True), gx.mean(axis=axes, keepdims=True)
+                    gh -= m1
+                    np.subtract(gh, np.multiply(xhat, m2, out=gx), out=gx)
+                    gx *= inv_std
                 else:
                     gx = grad * (gamma.data * inv_std)
                 x.accumulate_grad(gx)

@@ -57,13 +57,19 @@ class AdamW:
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
+            # In place through one scratch array, with the unfused form's bits:
+            # p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay * p).
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            tmp = np.multiply(g, 1.0 - BETA1)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += tmp
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            p.data -= (self.lr * (update + self.weight_decay * p.data)).astype(p.data.dtype)
+            v += np.multiply(np.multiply(g, 1.0 - BETA2, out=tmp), g, out=tmp)
+            update = m / bc1
+            update /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), ADAM_EPS, out=tmp)
+            update += np.multiply(p.data, self.weight_decay, out=tmp)
+            update *= self.lr
+            p.data -= update
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from firedet.losses import MIN_EXTENT, ciou_alpha, ciou_loss
 from firedet.model import CANDIDATE, STRIDES
 from firedet.nn import BN_EPS, BN_MOMENTUM, concat_channels
 from firedet.tensor import Tensor, scalar, slice4, softplus, tmean
+from firedet.train import ADAM_EPS, BETA1, BETA2
 
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -79,26 +80,45 @@ def naive_pool2d(x: np.ndarray, kind: str, kernel: int = 2, stride: int = 2,
 # ---------------------------------------------------------------------------
 # Bit-level references: conv2d, pool2d and the stable sigmoid in their most
 # direct vectorized forms (einsum, flattened-window argmax, both-branch
-# where), and SplitMix64 in Python integers.  Training is sensitive to the
-# last bit (Adam amplifies it), so the library must equal these byte for byte.
+# where), AdamW's unfused step, and SplitMix64 in Python integers.  Training
+# is sensitive to the last bit (Adam amplifies it), so the library must equal
+# these byte for byte.  The conv weight gradient alone sums in another order
+# than its einsum form, and is held to a rounding-error bound instead.
 
-def einsum_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
-                  stride: int = 1, padding: int = 0, dilation: int = 1,
-                  groups: int = 1) -> np.ndarray:
-    """Strided window view contracted with ``einsum``; b has shape (1, O, 1, 1)."""
+def grouped_windows(x: np.ndarray, k: int, stride: int, padding: int, dilation: int,
+                    groups: int) -> np.ndarray:
+    """The (N, G, C/G, Ho, Wo, k, k) windows of the zero-padded ``x`` a conv reads."""
     n, c, h, ww = x.shape
-    cout, cig, k, _ = w.shape
-    g, s, p, d = groups, stride, padding, dilation
+    s, p, d = stride, padding, dilation
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
     eff = d * (k - 1) + 1
     ho = (h + 2 * p - eff) // s + 1
     wo = (ww + 2 * p - eff) // s + 1
     win = sliding_window_view(xp, (eff, eff), axis=(2, 3))[:, :, ::s, ::s, ::d, ::d]
-    wing = win[:, :, :ho, :wo].reshape(n, g, cig, ho, wo, k, k)
-    wg = w.reshape(g, cout // g, cig, k, k)
+    return win[:, :, :ho, :wo].reshape(n, groups, c // groups, ho, wo, k, k)
+
+
+def einsum_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+                  stride: int = 1, padding: int = 0, dilation: int = 1,
+                  groups: int = 1) -> np.ndarray:
+    """Strided window view contracted with ``einsum``; b has shape (1, O, 1, 1)."""
+    cout, cig, k, _ = w.shape
+    wing = grouped_windows(x, k, stride, padding, dilation, groups)
+    wg = w.reshape(groups, cout // groups, cig, k, k)
     out = np.einsum("ngihwkl,goikl->ngohw", wing, wg, optimize=True)
-    out = out.reshape(n, cout, ho, wo)
+    out = out.reshape(x.shape[0], cout, *out.shape[3:])
     return out + b if b is not None else out
+
+
+def einsum_conv_weight_grad(x: np.ndarray, w: np.ndarray, grad: np.ndarray, stride: int,
+                            padding: int, dilation: int, groups: int) -> np.ndarray:
+    """Weight gradient of conv2d as it was written before the GEMM backward:
+    the window view contracted with the output gradient by ``einsum``."""
+    cout, _, k, _ = w.shape
+    n, _, ho, wo = grad.shape
+    wing = grouped_windows(x, k, stride, padding, dilation, groups)
+    gg = grad.reshape(n, groups, cout // groups, ho, wo)
+    return np.einsum("ngihwkl,ngohw->goikl", wing, gg, optimize=True).reshape(w.shape)
 
 
 def argmax_pool2d(x: np.ndarray, kind: str, kernel: int = 2, stride: int = 2,
@@ -191,6 +211,24 @@ def batchnorm_ref(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_me
     out = gamma * xhat + beta
     return (out, running_mean, running_var, gx,
             (grad * xhat).sum(axis=axes, keepdims=True), grad.sum(axis=axes, keepdims=True))
+
+
+def adamw_step_ref(params: list[np.ndarray], grads: list[np.ndarray | None],
+                   ms: list[np.ndarray], vs: list[np.ndarray], t: int, lr: float,
+                   weight_decay: float) -> None:
+    """Step ``t`` of AdamW as it was written before its in-place update:
+    ``params`` and the moments ``ms``, ``vs`` move in place; a None
+    gradient counts as zeros."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        g = g if g is not None else np.zeros_like(p)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p -= (lr * (update + weight_decay * p)).astype(p.dtype)
 
 
 def where_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
-"""The conv, pool and sigmoid kernels, the conv and avg-pool input gradients
-and BatchNorm in both modes equal their reference forms bit for bit.
+"""The conv, pool and sigmoid kernels, the conv and avg-pool input gradients,
+BatchNorm in both modes and the AdamW step equal their reference forms bit
+for bit.
 
 Training is chaotic in the last bit: a ten-step AdamW run amplifies a one-ulp
 change in a forward kernel into a visibly different loss curve.  So the
 kernels are pinned to the byte patterns of the references in ``oracles``,
-not to a tolerance.
+not to a tolerance.  The one exception is the conv weight gradient: the GEMM
+backward sums its N*Ho*Wo products in another order than the einsum it
+replaced, so it is pinned by the rounding-error bound of a dot product, which
+the einsum form meets as well.
 """
 
 import contextlib
@@ -13,8 +17,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import (argmax_max_pool_grad, argmax_pool2d, batchnorm_ref, einsum_conv2d,
-                     scatter_conv_input_grad, slice_avg_pool_grad, where_sigmoid)
+from oracles import (adamw_step_ref, argmax_max_pool_grad, argmax_pool2d, batchnorm_ref,
+                     einsum_conv2d, einsum_conv_weight_grad, scatter_conv_input_grad,
+                     slice_avg_pool_grad, where_sigmoid)
 
 import firedet.attention
 import firedet.blocks
@@ -24,6 +29,7 @@ from firedet.model import build
 from firedet.nn import train_mode
 from firedet.rng import Rng
 from firedet.tensor import Parameter, _sigmoid_np, from_array, using_dtype
+from firedet.train import AdamW
 
 
 def _layout(a: np.ndarray) -> list[int]:
@@ -177,6 +183,48 @@ def test_conv_input_gradient_matches_scatter_reference_bits(dtype, padding, stri
                 assert got.tobytes() == want.tobytes(), (layout, groups)
 
 
+def _gamma(n: int, dtype) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u): the relative error bound of an
+    n-term dot product in ``dtype``, whatever the summation order."""
+    nu = n * np.finfo(dtype).eps / 2
+    return nu / (1 - nu)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [1, 3, 7])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_conv_weight_gradient_within_dot_product_error_bound(dtype, kernel, stride, dilation,
+                                                             depthwise):
+    # Each weight-gradient element is a dot product of n = N*Ho*Wo output
+    # gradients with n window entries, so |computed - exact| <= gamma_n *
+    # sum|grad|*|window|.  The long-double reference is itself off by at most
+    # gamma_n(longdouble) times the same sum (float64's where the two agree).
+    c, padding = 4, dilation * (kernel - 1) // 2
+    with using_dtype(dtype):
+        for layout, x in _grad_inputs(2, c, 9, 10, dtype, seed=kernel * 10 + stride).items():
+            spec = nn.Conv2dSpec(c, c if depthwise else 6, kernel=kernel, stride=stride,
+                                 padding=padding, dilation=dilation,
+                                 groups=c if depthwise else 1, has_bias=False)
+            w = Rng(kernel + dilation).uniform64(int(np.prod(spec.weight_shape)), -1.0, 1.0) \
+                .astype(dtype).reshape(spec.weight_shape)
+            wp = Parameter(w)
+            out = nn.conv2d(from_array(x), spec, wp)
+            grad, got = _input_grad(out, wp, seed=dilation)
+            geometry = (stride, padding, dilation, spec.groups)
+            wide_x, wide_grad = x.astype(np.longdouble), grad.astype(np.longdouble)
+            exact = einsum_conv_weight_grad(wide_x, w, wide_grad, *geometry)
+            sum_abs = einsum_conv_weight_grad(np.abs(wide_x), w, np.abs(wide_grad), *geometry)
+            n = out.shape[0] * out.shape[2] * out.shape[3]
+            bound = (_gamma(n, dtype) + _gamma(n, np.longdouble)) * sum_abs
+            assert got.dtype == dtype and got.shape == spec.weight_shape
+            assert np.all(np.abs(got - exact) <= bound), layout
+            # The form it replaced meets the same bound: derived, not tuned.
+            before = einsum_conv_weight_grad(x, w, grad, *geometry)
+            assert before.dtype == dtype and np.all(np.abs(before - exact) <= bound), layout
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kernel, stride, padding", [
     (2, 1, 0), (2, 2, 1), (3, 1, 1), (3, 2, 0), (3, 3, 1), (4, 1, 2), (5, 2, 2), (5, 3, 2),
@@ -212,6 +260,47 @@ def test_batchnorm_matches_reference_bits(dtype, training):
             for name, g, w in zip(names, got, want):
                 assert g.dtype == w.dtype == dtype, (layout, name)
                 assert g.tobytes() == w.tobytes(), (layout, name)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_batchnorm_input_gradient_keeps_reference_memory_order(training):
+    # x.grad's memory order is the order later reductions sum in, so it must
+    # be the unfused expression's for every pairing of x and gradient layouts.
+    for x_layout, x in _grad_inputs(3, 4, 5, 6, np.float32, seed=9).items():
+        for grad_layout, grad in _grad_inputs(3, 4, 5, 6, np.float32, seed=4).items():
+            layer = nn.BatchNorm(4)
+            before = (layer.gamma.data, layer.beta.data, layer.running_mean.copy(),
+                      layer.running_var.copy())
+            xp = Parameter(x)
+            with train_mode() if training else contextlib.nullcontext():
+                out = layer(xp)
+            out.backward(grad)
+            want = batchnorm_ref(x, *before, grad, training)[3]
+            assert _layout(xp.grad) == _layout(want), (x_layout, grad_layout)
+            assert xp.grad.tobytes() == want.tobytes(), (x_layout, grad_layout)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_adamw_step_matches_unfused_reference_bits(weight_decay):
+    shapes = [(4, 3, 3, 3), (1, 5, 1, 1), (6, 2, 1, 1)]
+    values = [Rng(i).uniform64(int(np.prod(sh)), -1.0, 1.0).astype(np.float32).reshape(sh)
+              for i, sh in enumerate(shapes)]
+    params = [Parameter(v.copy()) for v in values]
+    opt = AdamW(params, lr=0.002, weight_decay=weight_decay)
+    ms, vs = [np.zeros_like(v) for v in values], [np.zeros_like(v) for v in values]
+    for t in range(1, 16):
+        grads = [Rng(100 * t + i).uniform64(v.size, -1.0, 1.0).astype(np.float32).reshape(v.shape)
+                 for i, v in enumerate(values)]
+        grads[0].reshape(-1)[:4] = (0.0, -0.0, 1e-30, -1e-30)
+        grads[1] = None if t % 3 else grads[1]  # a parameter with no gradient
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        opt.step()
+        adamw_step_ref(values, grads, ms, vs, t, 0.002, weight_decay)
+        for i, p in enumerate(params):
+            assert p.data.tobytes() == values[i].tobytes(), (t, i)
+            assert opt._m[i].tobytes() == ms[i].tobytes(), (t, i)
+            assert opt._v[i].tobytes() == vs[i].tobytes(), (t, i)
 
 
 def test_window_view_is_read_only_and_padding_matches_np_pad():
