@@ -10,18 +10,20 @@ r = 0.00, 0.01, ..., 1.00, and the AP is their mean.  mAP50-95 averages AP
 over IoU thresholds 0.50:0.05:0.95; class scores are averaged over the
 classes that appear in the ground truth.
 
-Cost: a matching call computes one detection x ground-truth IoU matrix per
-(image, class) group and then does at most one vector scan of it per match,
-so a group with G ground truths costs at most G + 1 scans, however many
-detections it holds.  AP reads the 101 interpolated precisions off one
-reverse running maximum of the precision curve.  Neither changes the order
-or the tie rules above, and every IoU and precision has the bits of a
-per-detection evaluation.
+Cost: an evaluation sorts the detections once, groups them by (image,
+class) once and computes one detection x ground-truth IoU matrix per group.
+Each IoU threshold then scans its own copy of that matrix, at most one
+vector scan per match, so a group with G ground truths costs at most G + 1
+scans per threshold, however many detections it holds.  ``map_range`` gets
+P/R/F1 and all ten APs from that one pass.  AP reads the 101 interpolated
+precisions off one reverse running maximum of the precision curve.  None of
+this changes the order or the tie rules above, and every IoU and precision
+has the bits of a per-detection evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,82 +54,85 @@ class EvalResult:
     precision: float
     recall: float
     f1: float
-    ap_per_threshold: dict[float, float] = field(default_factory=dict)
-    map50: float = 0.0
-    map75: float = 0.0
-    map50_95: float = 0.0
-    zero_gt_warning: bool = False
+    ap_per_threshold: dict[float, float]
+    map50: float
+    map75: float
+    map50_95: float
+    zero_gt_warning: bool
 
 
 IOU_RANGE = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
-def _match_flags(dets: list[DetRecord], gts: list[GtRecord], iou_t: float) -> np.ndarray:
-    """True-positive flag per detection, in descending-score order.
+def _evaluate(dets: list[DetRecord], gts: list[GtRecord], conf_t: float, pr_iou: float,
+              ap_ious: tuple[float, ...]) -> tuple[tuple[float, float, float], dict[float, float]]:
+    """P/R/F1 at (``pr_iou``, ``conf_t``) and {t: AP at t} over ``ap_ious``, from one match.
 
-    Ties in score keep input order.  Matching is greedy within each
-    (image, class) group.
+    Each (image, class) group's IoU matrix is built once and copied for each
+    threshold's greedy scan.  A detection's flag depends only on higher-scored
+    ones, and the detections kept at ``conf_t`` are a prefix of the score
+    order, so their flags are those of matching them alone.
     """
-    flags = np.zeros(len(dets), dtype=bool)
-    if not dets or not gts:
-        return flags
     order = np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")
-    det_corners = cxcywh_to_xyxy(np.array([d.box for d in dets], dtype=np.float64))[order]
-    gt_corners = cxcywh_to_xyxy(np.array([g.box for g in gts], dtype=np.float64))
+    ranked = order.tolist()
+    flags = np.zeros((1 + len(ap_ious), len(dets)), dtype=bool)  # row 0 is pr_iou's
     gt_groups: dict[tuple[str, int], list[int]] = {}
     for gi, gt in enumerate(gts):
         gt_groups.setdefault((gt.image, gt.class_id), []).append(gi)
     det_groups: dict[tuple[str, int], list[int]] = {}
-    for rank, di in enumerate(order.tolist()):
+    for rank, di in enumerate(ranked):
         key = (dets[di].image, dets[di].class_id)
         if key in gt_groups:
             det_groups.setdefault(key, []).append(rank)
     for key, ranks in det_groups.items():
-        ious = iou_matrix(det_corners[ranks], gt_corners[gt_groups[key]])
-        # A claimed ground truth's column becomes -1, below every IoU, so the
-        # row maximum and argmax range over the unmatched ones only.
-        start = 0
-        for _ in range(ious.shape[1]):
-            hit = ious[start:].max(axis=1) >= iou_t
-            if not hit.any():
-                break
-            row = start + int(hit.argmax())
-            ious[:, int(ious[row].argmax())] = -1.0
-            flags[ranks[row]] = True
-            start = row + 1
-    return flags
+        group_ious = iou_matrix(cxcywh_to_xyxy([dets[ranked[r]].box for r in ranks]),
+                                cxcywh_to_xyxy([gts[gi].box for gi in gt_groups[key]]))
+        for t, iou_t in enumerate((pr_iou, *ap_ious)):
+            # A claimed ground truth's column becomes -1, below every IoU, so
+            # the row maximum and argmax range over the unmatched ones only.
+            ious = group_ious.copy()
+            start = 0
+            for _ in range(ious.shape[1]):
+                hit = ious[start:].max(axis=1) >= iou_t
+                if not hit.any():
+                    break
+                row = start + int(hit.argmax())
+                ious[:, int(ious[row].argmax())] = -1.0
+                flags[t, ranks[row]] = True
+                start = row + 1
+    kept = sum(d.score >= conf_t for d in dets)
+    tp = int(flags[0, :kept].sum())
+    fp = kept - tp
+    fn = len(gts) - tp
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    classes = np.array([d.class_id for d in dets], dtype=np.int64)[order]
+    gt_classes = [g.class_id for g in gts]
+    per_class = [(classes == c, gt_classes.count(c)) for c in sorted(set(gt_classes))]
+    aps = {t: float(np.mean([_ap_from_flags(row[mask], n) for mask, n in per_class]))
+           if per_class else 0.0 for t, row in zip(ap_ious, flags[1:])}
+    return (precision, recall, f1), aps
 
 
 def pr_f1(dets: list[DetRecord], gts: list[GtRecord], iou_t: float,
           conf_t: float) -> tuple[float, float, float]:
     """Precision, recall, F1 at one confidence cut; 0/0 ratios collapse to 0."""
-    kept = [d for d in dets if d.score >= conf_t]
-    flags = _match_flags(kept, gts, iou_t)
-    tp = int(flags.sum())
-    fp = len(kept) - tp
-    fn = len(gts) - tp
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    return _evaluate(dets, gts, conf_t, iou_t, ())[0]
 
 
 _RECALL_POINTS = np.arange(101) / 100.0
 
 
 def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated AP from score-ordered TP flags."""
-    if n_gt == 0:
-        return 0.0
-    if flags.size == 0:
-        return 0.0
+    """101-point interpolated AP from score-ordered TP flags; ``n_gt`` > 0."""
     tp_cum = np.cumsum(flags)
     fp_cum = np.cumsum(~flags)
     recall = tp_cum / n_gt
     precision = tp_cum / (tp_cum + fp_cum)
     # Recall never falls, so the points with recall >= r are a suffix that
     # starts at the first such index; past the end (r above the final
-    # recall) the interpolated precision is 0.
+    # recall, or no detections) the interpolated precision is 0.
     envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     total = 0.0
     for p in envelope[np.searchsorted(recall, _RECALL_POINTS, side="left")].tolist():
@@ -141,23 +146,14 @@ def average_precision(dets: list[DetRecord], gts: list[GtRecord], iou_t: float) 
     Classes are those present in the ground truth; detections of absent
     classes are ignored.  Zero ground truths overall gives 0.
     """
-    classes = sorted({g.class_id for g in gts})
-    if not classes:
-        return 0.0
-    aps = []
-    for cls in classes:
-        cls_dets = [d for d in dets if d.class_id == cls]
-        cls_gts = [g for g in gts if g.class_id == cls]
-        flags = _match_flags(cls_dets, cls_gts, iou_t)
-        aps.append(_ap_from_flags(flags, len(cls_gts)))
-    return float(np.mean(aps))
+    return _evaluate(dets, gts, 0.0, iou_t, (iou_t,))[1][iou_t]
 
 
 def map_range(dets: list[DetRecord], gts: list[GtRecord], conf_t: float = 0.25,
               pr_iou: float = 0.5) -> EvalResult:
     """Full evaluation: P/R/F1 at one operating point plus the AP family."""
-    precision, recall, f1 = pr_f1(dets, gts, pr_iou, conf_t)
-    ap_per_threshold = {t: average_precision(dets, gts, t) for t in IOU_RANGE}
+    (precision, recall, f1), ap_per_threshold = _evaluate(dets, gts, conf_t, pr_iou,
+                                                          IOU_RANGE)
     return EvalResult(
         precision=precision,
         recall=recall,

@@ -67,7 +67,8 @@ class AdamW:
             v += np.multiply(np.multiply(g, 1.0 - BETA2, out=tmp), g, out=tmp)
             update = m / bc1
             update /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), ADAM_EPS, out=tmp)
-            update += np.multiply(p.data, self.weight_decay, out=tmp)
+            if self.weight_decay:  # 0 * p is ±0 for finite p; skipping it keeps the bits
+                update += np.multiply(p.data, self.weight_decay, out=tmp)
             update *= self.lr
             p.data -= update
 

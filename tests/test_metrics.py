@@ -89,19 +89,22 @@ def test_ap_and_pr_match_reference_on_fuzz(seed):
 
 
 def test_map_range_thresholds_match_reference_on_fuzz():
+    # pr_iou 0.3 lies outside IOU_RANGE; conf_t 0.55 lies on the clustered
+    # cases' 0.05 score grid, so that cut falls inside a run of tied scores.
     rng = Rng(77)
     for dets, gts in [random_case(rng) for _ in range(100)] \
             + [clustered_case(rng) for _ in range(2)]:
-        result = map_range(dets, gts, conf_t=0.25)
-        assert set(result.ap_per_threshold) == set(IOU_RANGE)
-        for iou_t in IOU_RANGE:
-            assert result.ap_per_threshold[iou_t] == ap_ref(dets, gts, iou_t)
-        assert result.map50 == result.ap_per_threshold[0.5]
-        assert result.map75 == result.ap_per_threshold[0.75]
-        expected_mean = sum(result.ap_per_threshold.values()) / len(IOU_RANGE)
-        assert result.map50_95 == pytest.approx(expected_mean, rel=1e-12)
-        assert (result.precision, result.recall, result.f1) \
-            == pr_ref(dets, gts, 0.5, 0.25)
+        expected_aps = {iou_t: ap_ref(dets, gts, iou_t) for iou_t in IOU_RANGE}
+        expected_mean = sum(expected_aps.values()) / len(IOU_RANGE)
+        for pr_iou in (0.3, 0.5, 0.75):
+            for conf_t in (0.0, 0.25, 0.55):
+                result = map_range(dets, gts, conf_t=conf_t, pr_iou=pr_iou)
+                assert result.ap_per_threshold == expected_aps
+                assert result.map50 == result.ap_per_threshold[0.5]
+                assert result.map75 == result.ap_per_threshold[0.75]
+                assert result.map50_95 == pytest.approx(expected_mean, rel=1e-12)
+                assert (result.precision, result.recall, result.f1) \
+                    == pr_ref(dets, gts, pr_iou, conf_t), (pr_iou, conf_t, dets, gts)
 
 
 _BOXES = st.tuples(st.sampled_from(CENTERS), st.sampled_from(CENTERS),
@@ -120,6 +123,9 @@ _GTS = st.lists(st.builds(GtRecord, image=st.sampled_from(IMAGES), class_id=st.i
 def test_ap_and_pr_match_reference_on_generated_records(dets, gts, iou_t, conf_t):
     assert average_precision(dets, gts, iou_t) == ap_ref(dets, gts, iou_t)
     assert pr_f1(dets, gts, iou_t, conf_t) == pr_ref(dets, gts, iou_t, conf_t)
+    result = map_range(dets, gts, conf_t=conf_t, pr_iou=iou_t)
+    assert result.ap_per_threshold == {t: ap_ref(dets, gts, t) for t in IOU_RANGE}
+    assert (result.precision, result.recall, result.f1) == pr_ref(dets, gts, iou_t, conf_t)
 
 
 def test_perfect_single_detection():

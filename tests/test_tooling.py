@@ -26,3 +26,12 @@ def test_code_size_prints_one_json_line_of_three_counts():
     lines = sum(len(p.read_text(encoding="utf-8").splitlines())
                 for p in (REPO / "src" / "firedet").rglob("*.py"))
     assert counts["src_lines"] == lines
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps():
+    # perfbench/tracer.py wraps firedet functions and methods by name, so a
+    # deleted or renamed one fails here, not first in a traced benchmark run.
+    code = (f"import sys; sys.path[:0] = [{str(REPO / 'perfbench')!r}, {str(REPO / 'src')!r}]; "
+            "from tracer import Tracer, install; install(Tracer())")
+    run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
