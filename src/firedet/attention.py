@@ -49,8 +49,8 @@ class SpatialGate(Module):
         self.dw_spec = Conv2dSpec(channels, channels, kernel=3, padding=1,
                                   groups=channels, has_bias=False)
         self.pw_spec = Conv2dSpec(channels, channels, kernel=3, padding=1, has_bias=False)
-        self.dw_weight = kaiming_uniform(self.dw_spec.weight_shape, rng, 9)
-        self.pw_weight = kaiming_uniform(self.pw_spec.weight_shape, rng, channels * 9)
+        self.dw_weight = kaiming_uniform(self.dw_spec.weight_shape, rng)
+        self.pw_weight = kaiming_uniform(self.pw_spec.weight_shape, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         h = conv2d(x, self.dw_spec, self.dw_weight)
@@ -88,14 +88,14 @@ class CasAttention(Module):
         super().__init__()
         self.channels = channels
         self.qkv_spec = Conv2dSpec(channels, 3 * channels, kernel=1, has_bias=False)
-        self.qkv_weight = kaiming_uniform(self.qkv_spec.weight_shape, rng, channels)
+        self.qkv_weight = kaiming_uniform(self.qkv_spec.weight_shape, rng)
         self.sg_q = SpatialGate(channels, rng)
         self.cg_q = ChannelGate(channels, rng)
         self.sg_k = SpatialGate(channels, rng)
         self.cg_k = ChannelGate(channels, rng)
         self.out_spec = Conv2dSpec(channels, channels, kernel=3, padding=1,
                                    groups=channels, has_bias=False)
-        self.out_weight = kaiming_uniform(self.out_spec.weight_shape, rng, 9)
+        self.out_weight = kaiming_uniform(self.out_spec.weight_shape, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         c = self.channels
@@ -118,7 +118,7 @@ class SpatialCalibrate(Module):
     def __init__(self, rng: Rng):
         super().__init__()
         self.spec = Conv2dSpec(2, 1, kernel=7, padding=6, dilation=2, has_bias=False)
-        self.weight = kaiming_uniform(self.spec.weight_shape, rng, 2 * 49)
+        self.weight = kaiming_uniform(self.spec.weight_shape, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         pooled = concat_channels([channel_mean(x), channel_max(x)])

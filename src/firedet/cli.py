@@ -19,8 +19,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import checks
 from .fileio import (FileFormatError, format_detection, image_to_input, letterbox,
                      load_config, read_detections, read_ground_truth, read_ppm)
@@ -57,9 +55,7 @@ def _load_model(args, config: ModelConfig) -> Model:
 def _infer_one(model: Model, config: ModelConfig, path: str,
                score_threshold: float | None) -> list[DetRecord]:
     boxed, info = letterbox(read_ppm(path), config.input_size)
-    # Cast here, so that the float64 planes are freed before the forward pass.
-    batch = image_to_input(boxed).astype(np.float32)
-    return detect_batch(model, config, batch, [Path(path).name],
+    return detect_batch(model, config, image_to_input(boxed), [Path(path).name],
                         infos=[info], score_threshold=score_threshold)
 
 
@@ -149,28 +145,21 @@ def cmd_train_toy(args) -> int:
     return EXIT_OK
 
 
-def _threshold(text: str) -> float:
-    """argparse type of the threshold flags: a finite number in [0, 1]."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1], got {text!r}")
-    return value
+def _ranged(convert, ok, wanted: str):
+    """An argparse type: ``convert(text)`` if ``ok`` holds for it, else "must be ``wanted``"."""
+    def number(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+    return number
 
 
-def _input_size(text: str) -> int:
-    """argparse type of ``profile --input``: a positive multiple of 32."""
-    value = int(text)
-    if value <= 0 or value % 32:
-        raise argparse.ArgumentTypeError(f"must be a positive multiple of 32, got {text!r}")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    """argparse type of the optimizer flags: a finite number >= 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+_threshold = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a finite number in [0, 1]")  # False for NaN
+_non_negative = _ranged(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+_input_size = _ranged(int, lambda v: v > 0 and v % 32 == 0, "a positive multiple of 32")
+# Below 2**63, so that the derived seed ``seed + 1`` is an Rng seed too.
+_seed = _ranged(int, lambda v: 0 <= v < 1 << 63, "an integer in [0, 2**63)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, weights=False):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"deterministic seed (default {DEFAULT_SEED})")
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                       help=f"deterministic seed in [0, 2**63) (default {DEFAULT_SEED})")
         if weights:
             p.add_argument("--weights", help="weight archive; omitted = seeded init")
 

@@ -105,16 +105,19 @@ def _parse_box(obj: dict, path: str | Path, lineno: int) -> tuple[float, float, 
 
 def _iter_jsonl(path: str | Path):
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise FileFormatError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                if not isinstance(obj, dict):
+                    raise FileFormatError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, obj
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: not UTF-8 text") from None
 
 
 def _require(obj: dict, key: str, kinds, path, lineno):
@@ -147,32 +150,26 @@ def read_ground_truth(path: str | Path) -> list[GtRecord]:
             for lineno, obj in _iter_jsonl(path)]
 
 
-def format_detection(records: list[DetRecord]) -> str:
-    """JSONL text of ``records`` in one pass: each line is ``json.dumps`` of the
-    record's dict with separators ", " and ": " and numbers ``round(v, 6)``."""
+def format_detection(records: list[DetRecord] | list[GtRecord]) -> str:
+    """JSONL text of ``records`` in one pass, detections or ground truth (which has
+    no ``"score"``): each line is ``json.dumps`` of the record's dict with separators
+    ", " and ": " and numbers ``round(v, 6)``, written with ``str``, which prints an
+    int coordinate as ``1`` as ``json.dumps`` does."""
     names = {name: json.dumps(name) for name in {rec.image for rec in records}}
     non_finite = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    scored = bool(records) and isinstance(records[0], DetRecord)
+    values = [(rec.score, *rec.box) for rec in records] if scored else [rec.box for rec in records]
+    line = ('{{"image": {}, "class_id": {}, ' + ('"score": {}, ' if scored else "")
+            + '"box": [{}, {}, {}, {}]}}\n')
     lines = []
-    for rec in records:
-        text = [float.__repr__(round(v, 6)) for v in (rec.score, *rec.box)]
-        score, cx, cy, w, h = [non_finite.get(t, t) for t in text]
-        lines.append(f'{{"image": {names[rec.image]}, "class_id": {rec.class_id}, '
-                     f'"score": {score}, "box": [{cx}, {cy}, {w}, {h}]}}\n')
+    for rec, vals in zip(records, values):
+        text = [non_finite.get(t, t) for t in [str(round(v, 6)) for v in vals]]
+        lines.append(line.format(names[rec.image], rec.class_id, *text))
     return "".join(lines)
 
 
-def format_ground_truth(rec: GtRecord) -> str:
-    return json.dumps({
-        "image": rec.image,
-        "class_id": rec.class_id,
-        "box": [round(v, 6) for v in rec.box],
-    }, separators=(", ", ": "))
-
-
 def write_ground_truth(path: str | Path, records: list[GtRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(format_ground_truth(rec) + "\n")
+    Path(path).write_text(format_detection(records), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +177,11 @@ def write_ground_truth(path: str | Path, records: list[GtRecord]) -> None:
 
 def load_config(path: str | Path) -> ModelConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FileFormatError(f"cannot read config {path}: {exc}") from None
-    try:
-        obj = json.loads(text)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
@@ -255,5 +252,6 @@ def unletterbox_box(boxes: np.ndarray, info: LetterboxInfo) -> np.ndarray:
 
 
 def image_to_input(image: np.ndarray) -> np.ndarray:
-    """(H, W, 3) uint8 -> (1, 3, H, W) float in [0, 1]."""
-    return (image.astype(np.float64) / 255.0).transpose(2, 0, 1)[None]
+    """(H, W, 3) uint8 -> (1, 3, H, W) float32 in [0, 1], the model's input.  For each of
+    the 256 byte values the float32 quotient equals the float64 one rounded to float32."""
+    return (image.astype(np.float32) / 255.0).transpose(2, 0, 1)[None]

@@ -292,8 +292,7 @@ class Conv2d(Module):
     def __init__(self, spec: Conv2dSpec, rng: Rng):
         super().__init__()
         self.spec = spec
-        fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
-        self.weight = kaiming_uniform(spec.weight_shape, rng, fan_in)
+        self.weight = kaiming_uniform(spec.weight_shape, rng)
         self.bias = Parameter(np.zeros((1, spec.out_channels, 1, 1), dtype=default_dtype())) if spec.has_bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -528,7 +527,7 @@ class Linear(Module):
 
     def __init__(self, in_features: int, out_features: int, rng: Rng):
         super().__init__()
-        self.weight = kaiming_uniform((out_features, in_features, 1, 1), rng, in_features)
+        self.weight = kaiming_uniform((out_features, in_features, 1, 1), rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight)
@@ -564,7 +563,7 @@ class PartialConv(Module):
 
     def __init__(self, channels: int, rng: Rng):
         super().__init__()
-        self.weight = kaiming_uniform(partial_conv_spec(channels).weight_shape, rng, 9)
+        self.weight = kaiming_uniform(partial_conv_spec(channels).weight_shape, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return partial_conv(x, self.weight)

@@ -40,9 +40,9 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self._state = np.uint64(seed)
 
     def _block(self, n: int) -> np.ndarray:
         """Draw n uint64 values as one vectorized block."""

@@ -215,12 +215,14 @@ def zeros(shape: tuple[int, int, int, int]) -> Tensor:
     return Tensor(np.zeros(shape, dtype=_default_dtype.get()))
 
 
-def kaiming_uniform(shape: tuple[int, int, int, int], rng: Rng | None, fan_in: int) -> Parameter:
+def kaiming_uniform(shape: tuple[int, int, int, int], rng: Rng | None) -> Parameter:
     """A parameter of uniform draws in +-sqrt(6 / fan_in), the ReLU-family init bound.
 
-    With ``rng`` None it is zeros and nothing is drawn: the values are about
-    to be overwritten by a weight archive.
+    ``fan_in`` is in * k * k, the product of the last three extents of
+    ``shape``.  With ``rng`` None it is zeros and nothing is drawn: the values
+    are about to be overwritten by a weight archive.
     """
+    fan_in = math.prod(shape[1:])
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     if rng is None:

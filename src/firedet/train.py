@@ -77,7 +77,7 @@ class AdamW:
 class ToyDataset:
     """The full synthetic set, stacked into one batch."""
 
-    batch: np.ndarray           # (N, 3, S, S) in [0, 1]
+    batch: np.ndarray           # (N, 3, S, S) float32 in [0, 1], from image_to_input
     gts: list[GroundTruth]      # image_index into the batch, letterbox space
     gt_records: list[GtRecord]  # original file-keyed records, source space
     image_names: list[str]
@@ -133,7 +133,7 @@ def train_toy(model: Model, config: ModelConfig, dataset: ToyDataset,
     non-finite, or whose arithmetic overflows, divides by zero or makes an
     invalid value, raises :class:`TrainingDiverged`."""
     opt = AdamW(list(model.parameters()), lr=lr, weight_decay=weight_decay)
-    batch = from_array(np.asarray(dataset.batch, dtype=np.float32))
+    batch = from_array(dataset.batch)
     losses, box_losses, cls_losses = [], [], []
     for step in range(1, steps + 1):
         opt.zero_grad()
@@ -167,7 +167,7 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
     in one array pass, and those lying wholly in the letterbox padding (zero
     width or height) dropped; only the records left are made in Python."""
     with no_grad():
-        maps = model(from_array(np.asarray(batch, dtype=np.float32)))
+        maps = model(from_array(batch))
     records = []
     for bi, name in enumerate(image_names):
         dets = nms(decode(maps, config, score_threshold=score_threshold,

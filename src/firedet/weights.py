@@ -99,6 +99,8 @@ def load_records(data: bytes) -> list[tuple[str, np.ndarray]]:
             pos += 4 * rank
         except struct.error as exc:
             raise ArchiveError(f"truncated archive in record {i} header: {exc}") from exc
+        except UnicodeDecodeError:
+            raise ArchiveError(f"record {i}: name is not UTF-8") from None
         if code not in _DTYPE_CODES:
             raise ArchiveError(f"record {i} ({name!r}): unknown dtype code {code}")
         dtype = _DTYPE_CODES[code]

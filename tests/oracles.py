@@ -504,6 +504,20 @@ def format_detection_ref(rec) -> str:
     }, separators=(", ", ": "))
 
 
+def format_ground_truth_ref(rec) -> str:
+    """One ground-truth JSONL line (no newline) through ``json.dumps`` of its dict."""
+    return json.dumps({
+        "image": rec.image,
+        "class_id": rec.class_id,
+        "box": [round(v, 6) for v in rec.box],
+    }, separators=(", ", ": "))
+
+
+def image_to_input_ref(image: np.ndarray) -> np.ndarray:
+    """(H, W, 3) uint8 -> (1, 3, H, W) float64 in [0, 1], divided in float64."""
+    return (image.astype(np.float64) / 255.0).transpose(2, 0, 1)[None]
+
+
 def letterbox_box_ref(box, info) -> tuple[float, float, float, float]:
     """The unclamped letterbox mapping ``(v * src * scale + pad) / dst_size``."""
     cx, cy, w, h = box

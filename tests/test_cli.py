@@ -13,15 +13,16 @@ from hypothesis import example, given, settings, strategies as st
 from firedet import synth
 from firedet.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from firedet.fileio import (format_detection, image_to_input, letterbox, letterbox_box,
-                            load_config, read_ppm, unletterbox_box, write_ppm)
-from firedet.metrics import DetRecord
+                            load_config, read_ppm, unletterbox_box, write_ground_truth, write_ppm)
+from firedet.metrics import DetRecord, GtRecord
 from firedet.model import ModelConfig, build
 from firedet.rng import Rng
 from firedet.tensor import Tensor
 from firedet.train import load_dataset, train_toy
 from firedet.weights import load_records, load_weights, save_records, save_weights
 
-from oracles import format_detection_ref, letterbox_box_ref, unletterbox_box_ref
+from oracles import (format_detection_ref, format_ground_truth_ref, image_to_input_ref,
+                     letterbox_box_ref, unletterbox_box_ref)
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILE_GOLDEN = Path(__file__).resolve().parent / "data" / "profile"
@@ -141,9 +142,15 @@ def test_image_to_input_layout_and_range():
     image = np.zeros((4, 6, 3), dtype=np.uint8)
     image[1, 2] = (255, 0, 128)
     x = image_to_input(image)
-    assert x.shape == (1, 3, 4, 6)
+    assert x.shape == (1, 3, 4, 6) and x.dtype == np.float32
     assert x[0, 0, 1, 2] == 1.0
-    assert x[0, 2, 1, 2] == 128 / 255
+    assert x[0, 2, 1, 2] == np.float32(128) / np.float32(255)
+
+
+def test_image_to_input_equals_the_float64_quotient_cast_to_float32():
+    image = np.arange(256, dtype=np.uint8).repeat(3).reshape(16, 16, 3)
+    want = image_to_input_ref(image).astype(np.float32)
+    assert image_to_input(image).tobytes() == want.tobytes()
 
 
 def test_ppm_round_trip_is_exact(tmp_path):
@@ -249,6 +256,31 @@ def _detection_lists(draw):
                   for name in _SPECIAL_NAMES for v in _SPECIAL_NUMBERS])
 def test_format_detection_equals_per_record_json_dumps(records):
     assert format_detection(records) == "".join(format_detection_ref(r) + "\n" for r in records)
+
+
+@st.composite
+def _ground_truth_lists(draw):
+    names = draw(st.lists(_NAMES, min_size=1, max_size=3))
+    coords = _NUMBERS | st.integers(0, 1)
+    return draw(st.lists(st.builds(
+        GtRecord, st.sampled_from(names), st.integers(0, 3),
+        st.tuples(coords, coords, coords, coords)), max_size=12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(records=_ground_truth_lists())
+def test_format_detection_of_ground_truth_equals_per_record_json_dumps(records):
+    assert format_detection(records) == "".join(format_ground_truth_ref(r) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [GtRecord(name, 0, (1, 0.1 + 0.2, 4.9999995e-07, 0.123456789)) for name in _SPECIAL_NAMES],
+], ids=["empty", "awkward"])
+def test_write_ground_truth_equals_per_record_json_dumps(tmp_path, records):
+    write_ground_truth(tmp_path / "gts.jsonl", records)
+    want = "".join(format_ground_truth_ref(r) + "\n" for r in records)
+    assert (tmp_path / "gts.jsonl").read_bytes() == want.encode()
 
 
 def test_infer_exit_codes(tmp_path, config_path, dataset_dir):
@@ -432,6 +464,57 @@ def test_threshold_flags_accept_the_interval_ends(tmp_path, capsys):
 def test_eval_missing_file_exits_io(tmp_path):
     assert main(["eval", "--dets", str(tmp_path / "a.jsonl"),
                  "--gts", str(tmp_path / "b.jsonl")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63), str(2**64)])
+@pytest.mark.parametrize("verb", ["infer", "train-toy", "synth", "gradcheck"])
+def test_seed_outside_zero_to_two_to_the_63_is_a_config_error(
+        tmp_path, config_path, dataset_dir, capsys, verb, seed):
+    args = {
+        "infer": ["infer", str(dataset_dir / "000.ppm"), "--config", config_path],
+        "train-toy": ["train-toy", "--config", config_path, "--data", str(dataset_dir),
+                      "--steps", "1", "--out", str(tmp_path / "out")],
+        "synth": ["synth", "--n", "1", "--out", str(tmp_path / "out")],
+        "gradcheck": ["gradcheck"],
+    }[verb]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", seed])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    assert main(["synth", "--n", "1", "--out", str(tmp_path), "--seed", str(2**63 - 1)]) == EXIT_OK
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"num_classes": 1, "input_size": 64, "width_mult": 0.125, "\xff": 1}')
+    assert main(["profile", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {path}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("which", ["dets", "gts"])
+def test_non_utf8_jsonl_is_an_io_error_naming_the_file(tmp_path, capsys, which):
+    (tmp_path / "dets.jsonl").write_text(GOOD_DET + "\n")
+    (tmp_path / "gts.jsonl").write_text(GOOD_GT + "\n")
+    bad = tmp_path / f"{which}.jsonl"
+    bad.write_bytes(bad.read_bytes() + b'{"image": "\xff.ppm"}\n')
+    assert main(["eval", "--dets", str(tmp_path / "dets.jsonl"),
+                 "--gts", str(tmp_path / "gts.jsonl")]) == EXIT_IO
+    assert capsys.readouterr().err == f"I/O error: {bad}: not UTF-8 text\n"
+
+
+def test_archive_record_name_not_utf8_is_an_io_error_naming_the_record(
+        tmp_path, config_path, dataset_dir, capsys):
+    blob = bytearray(save_weights(build(load_config(config_path), Rng(0))))
+    blob[14] = 0xFF  # first byte of record 0's name, after the 12-byte header and its length
+    weights = tmp_path / "weights.bin"
+    weights.write_bytes(bytes(blob))
+    assert main(["infer", str(dataset_dir / "000.ppm"), "--config", config_path,
+                 "--weights", str(weights)]) == EXIT_IO
+    assert capsys.readouterr().err == "I/O error: record 0: name is not UTF-8\n"
 
 
 # -- profile --------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
         threshold = inputs.top_tail_threshold(config, weights, frame, 5)
         boxed, _ = letterbox(image.reshape(48, 80, 3), 64)
         with no_grad():
-            maps = model(from_array(image_to_input(boxed).astype(np.float32)))
+            maps = model(from_array(image_to_input(boxed)))
         scores = np.sort(decode(maps, config, score_threshold=0.0).score)[::-1]
         print(threshold == (scores[4] + scores[5]) / 2, np.count_nonzero(scores >= threshold))
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from oracles import splitmix64_ref
 
@@ -54,3 +55,9 @@ def test_stream_continues_not_restarts():
     assert not np.array_equal(first, second)
     both = Rng(9).uniform64(8)
     assert np.array_equal(np.concatenate([first, second]), both)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_seed_outside_64_bits_is_rejected_not_masked(seed):
+    with pytest.raises(ValueError, match="seed"):
+        Rng(seed)

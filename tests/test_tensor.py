@@ -7,7 +7,7 @@ import pytest
 
 from firedet.nn import BatchNorm, Conv2dSpec, conv2d, mac_counting, train_mode
 from firedet.rng import Rng
-from firedet.tensor import (Parameter, Tensor, atan, from_array, grad_check,
+from firedet.tensor import (Parameter, Tensor, atan, from_array, grad_check, kaiming_uniform,
                             maximum, minimum, no_grad, scalar, slice4, tmean,
                             tsum, using_dtype, zeros)
 
@@ -204,6 +204,12 @@ def test_slice4_and_backward_scatter():
 def test_rank4_enforced():
     with pytest.raises(ValueError):
         Tensor(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4, 0, 3, 3), (4, 2, 0, 0), (1, 1, 1, 0)])
+def test_kaiming_uniform_rejects_a_zero_extent_in_the_fan_in(shape):
+    with pytest.raises(ValueError, match="fan_in"):
+        kaiming_uniform(shape, Rng(0))
 
 
 def test_backward_default_seed_is_ones():
