@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -62,6 +63,9 @@ def _infer_one(model: Model, config: ModelConfig, path: str,
 def cmd_infer(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
+    repeated = sorted(n for n, k in Counter(Path(p).name for p in args.images).items() if k > 1)
+    if repeated:  # records are keyed by file name, so eval would merge the images
+        raise ConfigError(f"images must have distinct file names, repeated: {', '.join(repeated)}")
     config = load_config(args.config)
     model = _load_model(args, config)
     worker = lambda p: _infer_one(model, config, p, args.score_threshold)
@@ -190,12 +194,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="parameter/MAC/size accounting")
     p.add_argument("--config", required=True)
-    p.add_argument("--variant", choices=VARIANTS, default=None,
-                   help="override the attention/downscale variant")
     p.add_argument("--input", type=_input_size, default=None,
                    help="input size, a positive multiple of 32 (default: the config's)")
-    p.add_argument("--ablation", action="store_true",
-                   help="print the four-variant comparison grid")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--variant", choices=VARIANTS, default=None,
+                       help="override the attention/downscale variant")
+    which.add_argument("--ablation", action="store_true",
+                       help="print the four-variant comparison grid")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification")

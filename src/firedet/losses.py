@@ -36,7 +36,7 @@ from .tensor import (
     unary,
     using_dtype,
 )
-from .tensor import _sigmoid_np, _softplus_np  # stable scalar maps shared with decode
+from .tensor import _sigmoid_np  # stable scalar map shared with decode
 from .model import STRIDES, ModelConfig, cell_box
 
 MIN_EXTENT = 1e-9  # floor of every box width and height the CIoU terms divide by
@@ -50,7 +50,7 @@ def bce(logits: Tensor, targets: np.ndarray) -> Tensor:
     if t.size and (t.min() < 0.0 or t.max() > 1.0):
         raise ValueError("targets must lie in [0, 1]")
     z = logits.data
-    elem = np.maximum(z, 0.0) - z * t + _softplus_np(-np.abs(z))
+    elem = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     out = elem.mean(keepdims=True).reshape(1, 1, 1, 1)
     return unary(logits, out, lambda g: g.reshape(()) * (_sigmoid_np(z) - t) / z.size)
 

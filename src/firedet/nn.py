@@ -18,15 +18,15 @@ Training is sensitive to the last bit, so these kernels are pinned byte for
 byte to reference forms in the tests.
 
 A MAC tally can be armed in the calling thread (see :func:`mac_counting`)
-to make conv/linear skip their arithmetic and record multiply-accumulate
-counts instead, for the whole batch of each call and keyed by the weight
-tensor it used — the analytic cost model and the executable graph share one
-definition this way, and a caller that knows the parameters' names can
-group the counts.  BatchNorm, the one layer whose behaviour depends on
-the mode, is one normalization whose statistics come from the batch under
-:func:`train_mode` and from its running averages otherwise.  Both switches
-are :func:`firedet.tensor.switched` modes, like ``no_grad``, so they reach
-the calling thread only.  Calling a :class:`Module` only runs its ``forward``.
+to make conv/linear record one image's multiply-accumulate count per call,
+keyed by the weight tensor it used, while they compute as always — the
+analytic cost model and the executable graph share one definition this way,
+and a caller that knows the parameters' names can group the counts.
+BatchNorm, the one layer whose behaviour depends on a mode, is one
+normalization whose statistics come from the batch under :func:`train_mode`
+and from its running averages otherwise.  Both switches are
+:func:`firedet.tensor.switched` modes, like ``no_grad``, so they reach the
+calling thread only.  Calling a :class:`Module` only runs its ``forward``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .tensor import (
     switched,
     tmean,
     unary,
-    zeros,
 )
 
 # -- analytic cost tally ----------------------------------------------------------
@@ -59,16 +58,15 @@ _mac_tally = contextvars.ContextVar("mac_tally", default=None)
 
 
 def mac_counting(tally: dict):
-    """Arm MAC counting: conv/linear add to ``tally['macs']`` and skip arithmetic.
+    """Arm MAC counting: conv/linear add one image's MACs per call to ``tally['macs']``.
 
-    The tally is armed for the calling thread only.  While armed, conv2d and
-    linear return zero tensors of the correct shape, so a single forward pass
-    traces the whole graph and yields exact multiply-accumulate totals without
-    the cost of the real computation.  Each call counts its whole batch: a
-    batch of N costs N times one image.  Each call's MACs are also added to
-    ``tally['by_weight']`` under the weight tensor it used, so per-layer
-    groups follow from the parameters' names (see
-    :func:`firedet.profiler.count_macs`).
+    The tally is armed for the calling thread only, and it only observes:
+    conv2d and linear compute and return exactly what they do unarmed.  Each
+    call counts one image, whatever its batch, so a forward over an empty
+    batch yields exact per-image totals while doing no arithmetic.  Each
+    call's MACs are also added to ``tally['by_weight']`` under the weight
+    tensor it used, so per-layer groups follow from the parameters' names
+    (see :func:`firedet.profiler.count_macs`).
     """
     tally.setdefault("macs", 0)
     tally.setdefault("by_weight", {})
@@ -257,9 +255,7 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
     k, s, p, d = spec.kernel, spec.stride, spec.padding, spec.dilation
 
     if _mac_tally.get() is not None:
-        _add_macs(weight, n * spec.macs(h, w))
-        return zeros((n, spec.out_channels, ho, wo))
-
+        _add_macs(weight, spec.macs(h, w))
     wing = _windows(_pad(x.data, p, 0.0), k, s, d, ho, wo).reshape(n, g, cig, ho, wo, k, k)
     wg = weight.data.reshape(g, cog, cig * k * k)
     # im2col with the batch folded into the columns: one GEMM per group.  The
@@ -414,12 +410,8 @@ def pool2d(x: Tensor, kind: str, kernel: int = 2, stride: int = 2, padding: int 
             np.maximum(tap, out, out=out)
 
         def grad_max(grad: np.ndarray) -> np.ndarray:
-            # First element equal to the maximum, or NaN when the maximum is NaN.
-            idx = np.full(out.shape, k * k - 1, dtype=np.intp)
-            for j in range(k * k - 2, -1, -1):
-                hit = taps[j] == out
-                hit |= np.isnan(taps[j])
-                np.copyto(idx, j, where=hit)
+            # argmax gives the first maximum, or the first NaN in a window holding one.
+            idx = win.reshape(n, c, ho, wo, k * k).argmax(axis=-1)
             gxp = np.zeros(xp.shape, dtype=xp.dtype)
             ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=False)
             rows = hi * s + idx // k
@@ -505,9 +497,7 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
         raise ValueError(f"weight shape {weight.shape} incompatible with input {x.shape}")
 
     if _mac_tally.get() is not None:
-        _add_macs(weight, n * cin * cout)
-        return zeros((n, cout, 1, 1))
-
+        _add_macs(weight, cin * cout)
     xm = x.data.reshape(n, cin)
     wm = weight.data.reshape(cout, cin)
     out = (xm @ wm.T).reshape(n, cout, 1, 1)

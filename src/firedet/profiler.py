@@ -1,13 +1,13 @@
 """Analytic parameter, multiply-accumulate, and size accounting.
 
 Parameter counts walk the model's registered parameters (batch-norm running
-statistics are buffers and therefore excluded).  MAC counts run the real
-forward pass with the cost tally armed (see :func:`firedet.nn.mac_counting`),
+statistics are buffers and therefore excluded).  MAC counts run the forward
+pass on an empty batch with the tally armed (:func:`firedet.nn.mac_counting`),
 so the executable graph is its own cost model: convolutions contribute
 k^2 * (Cin/groups) * Cout * Hout * Wout, affine maps contribute Cin * Cout,
 and normalization/activations/pooling count as zero (dominant-term
 convention).  GFLOPs = 2 * MACs / 1e9.  The tally is armed for the calling
-thread only, so profiling leaves forward passes in other threads computing.
+thread only, so forward passes in other threads are not counted.
 Both counts are grouped the same way: the tally keys MACs by the weight
 tensor that incurred them, and every parameter belongs to the group named by
 the first two parts of its dotted name (``backbone.stages``, ``heads.0``).
@@ -79,11 +79,12 @@ def count_params(model: Model) -> tuple[dict[str, int], int]:
 
 
 def count_macs(model: Model, input_size: int | None = None) -> tuple[dict[str, int], int]:
-    """Per-group and total MACs for a single image at the given input size."""
+    """Per-group and total MACs for a single image at the given input size, counted on an
+    empty batch in infer mode (train-mode BatchNorm would average over no samples)."""
     size = model.config.resolve_input_size(input_size)
     tally: dict = {}
     with no_grad(), mac_counting(tally):
-        model(zeros((1, 3, size, size)))
+        model(zeros((0, 3, size, size)))
     group_of = {p: key for key, p in _grouped_parameters(model)}
     groups: dict[str, int] = {}
     for weight, macs in tally["by_weight"].items():

@@ -94,6 +94,9 @@ def generate_dataset(n_images: int, seed: int, out_dir: str | Path,
     if image_size < MIN_IMAGE_SIZE:
         raise ValueError(f"image_size must be at least {MIN_IMAGE_SIZE}, got {image_size}")
     out = Path(out_dir)
+    # Images are listed by directory: an older set's extras would train unlabelled.
+    if (out / "gts.jsonl").exists() or any(out.glob("*.ppm")):
+        raise FileExistsError(f"{out} already holds .ppm images or gts.jsonl")
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(seed)
     records: list[GtRecord] = []

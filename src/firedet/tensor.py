@@ -367,7 +367,7 @@ def _norm_axes(axes: int | Iterable[int] | None) -> tuple[int, ...]:
 def tsum(x: Tensor, axes: int | Iterable[int] | None = None) -> Tensor:
     """Sum over the given axes; the result stays rank-4 (kept dims of size 1)."""
     out = x.data.sum(axis=_norm_axes(axes), keepdims=True)
-    return unary(x, out, lambda g: np.broadcast_to(g, x.shape).copy())
+    return unary(x, out, lambda g: np.broadcast_to(g, x.shape))
 
 
 def tmean(x: Tensor, axes: int | Iterable[int] | None = None) -> Tensor:
@@ -375,7 +375,7 @@ def tmean(x: Tensor, axes: int | Iterable[int] | None = None) -> Tensor:
     ax = _norm_axes(axes)
     count = int(np.prod([x.shape[a] for a in ax]))
     out = x.data.mean(axis=ax, keepdims=True)
-    return unary(x, out, lambda g: np.broadcast_to(g, x.shape).copy() / count)
+    return unary(x, out, lambda g: np.broadcast_to(g / count, x.shape))
 
 
 # -- structural ops ---------------------------------------------------------------

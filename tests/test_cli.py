@@ -19,7 +19,8 @@ from firedet.model import ModelConfig, build
 from firedet.rng import Rng
 from firedet.tensor import Tensor
 from firedet.train import load_dataset, train_toy
-from firedet.weights import load_records, load_weights, save_records, save_weights
+from firedet.weights import (MAGIC, VERSION, load_records, load_weights, model_records,
+                             save_records, save_weights)
 
 from oracles import (format_detection_ref, format_ground_truth_ref, image_to_input_ref,
                      letterbox_box_ref, unletterbox_box_ref)
@@ -193,6 +194,28 @@ def test_synth_image_size_must_fit_the_largest_blob(tmp_path, capsys, size):
                  "--out", str(tmp_path / "z")]) == EXIT_OK
 
 
+def test_synth_refuses_a_directory_holding_a_set(tmp_path, capsys):
+    # A smaller second set would leave the first set's extra images beside a
+    # gts.jsonl that does not label them, and train-toy would train on them.
+    out = tmp_path / "d"
+    assert main(["synth", "--n", "10", "--out", str(out), "--seed", "1"]) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["synth", "--n", "8", "--out", str(out), "--seed", "2"]) == EXIT_IO
+    assert str(out) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    for leftover in ("gts.jsonl", "000.ppm"):
+        lone = tmp_path / f"only-{leftover}"
+        lone.mkdir()
+        (lone / leftover).write_text("")
+        with pytest.raises(FileExistsError, match=str(lone)):
+            synth.generate_dataset(1, 0, lone)
+        assert [p.name for p in lone.iterdir()] == [leftover]
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "notes.txt").write_text("")
+    assert main(["synth", "--n", "1", "--out", str(tmp_path / "other")]) == EXIT_OK
+
+
 # -- gradcheck ------------------------------------------------------------------------
 
 
@@ -351,6 +374,21 @@ def test_threads_flag_is_infer_only_and_positive(config_path, dataset_dir, capsy
     with pytest.raises(SystemExit) as exc:
         main(["profile", "--config", config_path, "--threads", "2"])
     assert exc.value.code == EXIT_CONFIG
+
+
+def test_infer_refuses_two_images_with_one_file_name(tmp_path, config_path, dataset_dir, capsys):
+    # Records are keyed by file name, so eval would merge the two frames.
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        shutil.copy(dataset_dir / "000.ppm", tmp_path / d / "x.ppm")
+    a, b = str(tmp_path / "a" / "x.ppm"), str(tmp_path / "b" / "x.ppm")
+    missing_config = str(tmp_path / "no.json")  # refused before anything is loaded
+    for images in ([a, b], [a, a], [a, str(dataset_dir / "001.ppm"), b]):
+        assert main(["infer", *images, "--config", missing_config]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: images must have distinct file names, repeated: x.ppm\n")
+    assert main(["infer", a, str(dataset_dir / "001.ppm"), "--config", config_path,
+                 "--out", str(tmp_path / "d.jsonl")]) == EXIT_OK
 
 
 # -- eval -----------------------------------------------------------------------------
@@ -569,6 +607,20 @@ def test_profile_input_must_be_a_positive_multiple_of_32(config_path, capsys, va
     assert "--input" in capsys.readouterr().err
 
 
+def test_profile_ablation_and_variant_exclude_each_other(config_path, capsys):
+    # --ablation prints all four variants, so a --variant beside it was dropped.
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--config", config_path, "--ablation", "--variant", "air"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_profile_variant_overrides_the_config_flags(capsys):
+    assert main(["profile", "--config", str(REPO / "configs" / "baseline.json"),
+                 "--variant", "full"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (PROFILE_GOLDEN / "full.txt").read_bytes()
+
+
 # -- train-toy ------------------------------------------------------------------------
 
 
@@ -708,21 +760,73 @@ def test_committed_configs_load(config):
     assert isinstance(load_config(config), ModelConfig)
 
 
+TINY_PPM = b"P6 2 2 255\n" + bytes(12)
+TOY_RECORDS = model_records(build(ModelConfig(num_classes=1, input_size=64, width_mult=0.125)))
+ARCHIVE_HEAD = MAGIC + struct.pack("<II", VERSION, 1)  # one record follows
+INFER = ["infer", "{tmp}/f.ppm", "--config", "{config}"]
+EVAL = ["eval", "--dets", "{tmp}/d.jsonl", "--gts", "{tmp}/g.jsonl"]
+WEIGHTS = ["infer", "{image}", "--config", "{config}", "--weights", "{tmp}/w.bin"]
+TRAIN = ["train-toy", "--config", "{config}", "--data", "{tmp}", "--steps", "1", "--out", "{out}"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv, code, line", [
-    (["infer", "{image}", "--config", "{config}", "--threads", "0"],
+@pytest.mark.parametrize("files, argv, code, line", [
+    ({}, ["infer", "{image}", "--config", "{config}", "--threads", "0"],
      EXIT_CONFIG, "config error: --threads must be at least 1"),
-    (["train-toy", "--config", "{config}", "--data", "{data}", "--steps", "0", "--out", "{out}"],
+    ({}, ["train-toy", "--config", "{config}", "--data", "{data}", "--steps", "0", "--out", "{out}"],
      EXIT_CONFIG, "config error: --steps must be at least 1"),
-    (["synth", "--n", "0", "--out", "{out}"],
+    ({}, ["synth", "--n", "0", "--out", "{out}"],
      EXIT_CONFIG, f"config error: --n must be positive and --image-size at least {synth.MIN_IMAGE_SIZE}"),
-    (["train-toy", "--config", "{config}", "--data", "{data}", "--steps", "3", "--lr", "1e30",
-      "--out", "{out}"],
+    ({}, ["train-toy", "--config", "{config}", "--data", "{data}", "--steps", "3", "--lr", "1e30",
+          "--out", "{out}"],
      EXIT_CHECK, "error: loss became non-finite at step 2"),
-], ids=["threads", "steps", "synth-n", "diverged"])
+    # The comment swallows the extents, so the header ends after the magic.
+    ({"f.ppm": b"P6\n# 2 2 255\n"}, INFER,
+     EXIT_IO, "I/O error: {tmp}/f.ppm: unexpected end of PPM header"),
+    ({"f.ppm": b"P6 2 2"}, INFER, EXIT_IO, "I/O error: {tmp}/f.ppm: unexpected end of PPM header"),
+    ({"f.ppm": b"P6 2 two 255\n" + bytes(12)}, INFER,
+     EXIT_IO, "I/O error: {tmp}/f.ppm: non-numeric PPM header fields"),
+    ({"f.ppm": b"P6 2 2 65535\n" + bytes(24)}, INFER,
+     EXIT_IO, "I/O error: {tmp}/f.ppm: only maxval 255 supported, got 65535"),
+    ({"f.ppm": b"P6 0 2 255\n"}, INFER, EXIT_IO, "I/O error: {tmp}/f.ppm: invalid dimensions 0x2"),
+    ({"f.ppm": b"P6 2 2 255\n" + bytes(5)}, INFER,
+     EXIT_IO, "I/O error: {tmp}/f.ppm: expected 12 raster bytes, got 5"),
+    # Blank lines are skipped but counted, so the bad line is line 3.
+    ({"d.jsonl": "\n  \nnot json\n", "g.jsonl": GOOD_GT}, EVAL,
+     EXIT_IO, "I/O error: {tmp}/d.jsonl:3: invalid JSON (Expecting value)"),
+    ({"d.jsonl": GOOD_DET + "\n{\n", "g.jsonl": GOOD_GT}, EVAL, EXIT_IO,
+     "I/O error: {tmp}/d.jsonl:2: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ({"d.jsonl": GOOD_DET, "g.jsonl": "[1, 2]\n"}, EVAL,
+     EXIT_IO, "I/O error: {tmp}/g.jsonl:1: expected a JSON object"),
+    ({"c.json": "{"}, ["profile", "--config", "{tmp}/c.json"], EXIT_CONFIG,
+     "config error: {tmp}/c.json: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ({"c.json": "[]"}, ["profile", "--config", "{tmp}/c.json"],
+     EXIT_CONFIG, "config error: {tmp}/c.json: config must be a JSON object"),
+    ({"w.bin": ARCHIVE_HEAD + struct.pack("<H", 5) + b"ab"}, WEIGHTS,
+     EXIT_IO, "I/O error: truncated archive in record 0 header: name overruns buffer"),
+    ({"w.bin": ARCHIVE_HEAD + struct.pack("<H", 1) + b"w" + struct.pack("<BB", 99, 0)}, WEIGHTS,
+     EXIT_IO, "I/O error: record 0 ('w'): unknown dtype code 99"),
+    ({"w.bin": save_records(TOY_RECORDS[:-1])}, WEIGHTS, EXIT_IO,
+     f"I/O error: record count mismatch: archive has {len(TOY_RECORDS) - 1}, "
+     f"model has {len(TOY_RECORDS)}"),
+    ({"w.bin": save_records([("renamed", TOY_RECORDS[0][1]), *TOY_RECORDS[1:]])}, WEIGHTS,
+     EXIT_IO, f"I/O error: record 0: archive has 'renamed', model expects {TOY_RECORDS[0][0]!r}"),
+    ({}, WEIGHTS, EXIT_IO, "I/O error: cannot read weights {tmp}/w.bin: "
+                           "[Errno 2] No such file or directory: '{tmp}/w.bin'"),
+    ({"000.ppm": TINY_PPM}, TRAIN, EXIT_IO, "I/O error: missing ground-truth file {tmp}/gts.jsonl"),
+    ({"000.ppm": TINY_PPM, "gts.jsonl": GOOD_GT.replace("a.ppm", "zzz.ppm")}, TRAIN,
+     EXIT_IO, "I/O error: ground truth references unknown image 'zzz.ppm'"),
+], ids=["threads", "steps", "synth-n", "diverged", "ppm-comment", "ppm-header-ends",
+        "ppm-non-numeric", "ppm-maxval", "ppm-dimensions", "ppm-short-raster",
+        "jsonl-blank-lines", "jsonl-invalid", "jsonl-not-object", "config-invalid-json",
+        "config-not-object", "archive-truncated-header", "archive-dtype-code",
+        "archive-record-count", "archive-record-name", "weights-unreadable", "data-no-gts",
+        "data-unknown-image"])
 def test_main_maps_each_error_to_its_exit_code_and_stderr_line(tmp_path, config_path, dataset_dir,
-                                                               capsys, argv, code, line):
-    fields = {"image": str(dataset_dir / "000.ppm"), "config": config_path,
+                                                               capsys, files, argv, code, line):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content.encode() if isinstance(content, str) else content)
+    fields = {"image": str(dataset_dir / "000.ppm"), "config": config_path, "tmp": str(tmp_path),
               "data": str(dataset_dir), "out": str(tmp_path / "out")}
     assert main([a.format(**fields) for a in argv]) == code
-    assert capsys.readouterr().err == line + "\n"
+    assert capsys.readouterr().err == line.format(**fields) + "\n"

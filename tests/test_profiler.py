@@ -4,18 +4,20 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from firedet.cli import main
+from firedet.fileio import load_config
 from firedet.model import ModelConfig, build
 from firedet.nn import Conv2dSpec, conv2d, linear, mac_counting
 from firedet.profiler import (VARIANTS, ablation_report, count_macs,
                               count_params, profile, size_bytes, variant_config)
 from firedet.rng import Rng
-from firedet.tensor import from_array
+from firedet.tensor import from_array, no_grad, zeros
 from firedet.weights import load_records, model_records, save_weights
 
 CFG = ModelConfig(num_classes=1, input_size=64, width_mult=0.125)
@@ -55,21 +57,44 @@ def test_single_convolution_mac_formula():
     assert tally["by_weight"] == {w: tally["macs"]}
 
 
-def test_mac_tally_counts_the_whole_batch():
-    # A 3x3 4->6 conv on 8x8 and a 4->6 linear: a batch of two costs twice one image.
+def test_mac_tally_counts_one_image_per_call_and_changes_no_output():
+    # A 3x3 4->6 conv on 8x8 and a 4->6 linear: every call costs one image,
+    # whatever its batch, and the armed outputs equal the unarmed ones bit for bit.
     spec = Conv2dSpec(in_channels=4, out_channels=6, kernel=3, padding=1, has_bias=False)
-    wc = from_array(np.zeros((6, 4, 3, 3), dtype=np.float32))
-    wl = from_array(np.zeros((6, 4, 1, 1), dtype=np.float32))
+    rng = np.random.default_rng(0)
+    wc = from_array(rng.standard_normal((6, 4, 3, 3)).astype(np.float32))
+    wl = from_array(rng.standard_normal((6, 4, 1, 1)).astype(np.float32))
     by_batch = {}
-    for n in (1, 2):
+    for n in (0, 1, 2):
+        xc = from_array(rng.standard_normal((n, 4, 8, 8)).astype(np.float32))
+        xl = from_array(rng.standard_normal((n, 4, 1, 1)).astype(np.float32))
         tally = {}
         with mac_counting(tally):
-            conv2d(from_array(np.zeros((n, 4, 8, 8), dtype=np.float32)), spec, wc)
-            linear(from_array(np.zeros((n, 4, 1, 1), dtype=np.float32)), wl)
+            armed = conv2d(xc, spec, wc), linear(xl, wl)
+        plain = conv2d(xc, spec, wc), linear(xl, wl)
+        for a, b in zip(armed, plain):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.data.tobytes() == b.data.tobytes()
+        assert [a.shape for a in armed] == [(n, 6, 8, 8), (n, 6, 1, 1)]
         by_batch[n] = tally
     assert by_batch[1]["by_weight"] == {wc: 9 * 4 * 6 * 8 * 8, wl: 4 * 6}
-    assert by_batch[2]["by_weight"] == {wc: 2 * 9 * 4 * 6 * 8 * 8, wl: 2 * 4 * 6}
-    assert by_batch[2]["macs"] == 2 * by_batch[1]["macs"]
+    assert by_batch[0] == by_batch[1] == by_batch[2]
+    assert by_batch[1]["macs"] == 9 * 4 * 6 * 8 * 8 + 4 * 6
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name, size", [("toy", 64), ("full", 640)])
+def test_empty_batch_forward_returns_empty_maps_quietly(name, size, variant):
+    # count_macs runs the model on an empty batch, so every op must take one
+    # without a warning and keep the map shapes.
+    config = variant_config(load_config(REPO / "configs" / f"{name}.json"), variant)
+    model = build(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with no_grad():
+            maps = model(zeros((0, 3, size, size)))
+    assert [m.shape for m in maps] == [(0, 4 + config.num_classes, size // s, size // s)
+                                       for s in (8, 16, 32)]
 
 
 def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
@@ -90,7 +115,7 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
         from firedet.fileio import image_to_input, letterbox, load_config, write_ppm
         from firedet.model import build, decode
         from firedet.nn import mac_counting
-        from firedet.profiler import count_macs
+        from firedet.profiler import count_macs, variant_config
         from firedet.rng import Rng
         from firedet.tensor import from_array, no_grad, zeros
         from firedet.train import detect_batch
@@ -99,18 +124,23 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
         tr = tracer.Tracer()
         tracer.install(tr)
         config = load_config("configs/toy.json")
-        model = build(config, Rng(0))
         x = zeros((2, 3, 64, 64))
-        tr.on = True
-        with no_grad():
-            model(x)
-        tr.on = False
-        tally = {}
-        with no_grad(), mac_counting(tally):
-            model(x)
-        [(info, traced)] = tracer.forward_macs(tr)
-        print(info["shape"][0], traced, count_macs(model, 64)[1] * 2, tally["macs"])
+        # toy.json is the baseline; only the full variant's ChannelGates call nn.linear.
+        for variant in ("baseline", "full"):
+            model = build(variant_config(config, variant), Rng(0))
+            tr.spans.clear()
+            tr.on = True
+            with no_grad():
+                model(x)
+            tr.on = False
+            tally = {}
+            with no_grad(), mac_counting(tally):
+                model(x)
+            [(info, traced)] = tracer.forward_macs(tr)
+            linear_spans = sum(span[0] == "nn.linear" for span in tr.spans)
+            print(info["shape"][0], traced, count_macs(model, 64)[1], tally["macs"], linear_spans)
 
+        model = build(config, Rng(0))
         tr.spans.clear()
         images = np.asarray(Rng(1).uniform64(2 * 3 * 64 * 64)).reshape(2, 3, 64, 64)
         infos = [letterbox(np.zeros((48, 64, 3), np.uint8), 64)[1]] * 2
@@ -150,10 +180,13 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    macs, detect, top_tail, format_spans = (line.split() for line in proc.stdout.splitlines())
-    batch, traced, counted, tallied = map(int, macs)
-    assert batch == 2 and traced > 0
-    assert traced == counted == tallied
+    baseline, full, detect, top_tail, format_spans = (line.split() for line in proc.stdout.splitlines())
+    for macs in (baseline, full):
+        # The tally counts one image per call; the tracer counts the batch of two.
+        batch, traced, counted, tallied, _ = map(int, macs)
+        assert batch == 2 and traced > 0
+        assert traced == 2 * counted and tallied == counted
+    assert int(baseline[-1]) == 0 and int(full[-1]) > 0
     decoded, nms_in, kept, unletterbox_calls, records = map(int, detect)
     assert decoded == nms_in == 2 * (64 + 16 + 4)  # every cell of both images
     assert records <= kept <= nms_in
