@@ -7,7 +7,8 @@ values (``infer``, ``train-toy``, ``synth`` and ``gradcheck``) take
 
 Exit codes: 0 success; 2 configuration error (bad flags, bad config file);
 3 I/O error (missing/malformed image, weight, or record files); 4 check
-failure (gradient check over tolerance, training divergence).
+failure (gradient check over tolerance, training divergence, detection
+arithmetic that overflows or makes an invalid value).
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except FloatingPointError as exc:  # from detect_batch: the weights overflow the forward
+        print(f"error: detection arithmetic failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
 
 

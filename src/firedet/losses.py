@@ -5,7 +5,8 @@ The regression term works on center-format normalized boxes packed as
 IoU penalized by the squared center distance over the enclosing-box diagonal
 and by an aspect-ratio consistency term.  The trade-off coefficient of the
 aspect term is treated as a constant during differentiation (standard
-practice; keeps the loss smooth).
+practice; keeps the loss smooth); a caller that re-evaluates the loss, as a
+finite-difference check does, pins it with an ``alpha_cache`` list.
 
 Classification uses the numerically stable form of binary cross-entropy on
 raw logits, max(z, 0) - z*t + log(1 + exp(-|z|)), whose gradient is
@@ -26,7 +27,6 @@ import numpy as np
 from .tensor import (
     Tensor,
     atan,
-    from_array,
     maximum,
     minimum,
     relu,
@@ -34,7 +34,6 @@ from .tensor import (
     slice4,
     tmean,
     unary,
-    using_dtype,
 )
 from .tensor import _sigmoid_np  # stable scalar map shared with decode
 from .model import STRIDES, ModelConfig, cell_box
@@ -59,9 +58,21 @@ def _coord(boxes: Tensor, idx: int) -> Tensor:
     return slice4(boxes, c=slice(idx, idx + 1))
 
 
-def _ciou_terms(pred: Tensor, gt: Tensor) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
-    """(IoU, center-distance penalty, aspect term v, trade-off alpha) of
-    (N, 4, P, 1) center-format boxes; alpha is a plain array."""
+def ciou_loss(pred: Tensor, gt: Tensor, alpha_cache: list[np.ndarray] | None = None) -> Tensor:
+    """1 - CIoU per box; pred and gt are (N, 4, P, 1) center-format boxes.
+
+    Differentiable in pred; degenerate extents are clamped at
+    ``MIN_EXTENT``.  Returns shape (N, 1, P, 1).
+
+    The aspect term's trade-off coefficient alpha = v / ((1 - IoU) + v) is
+    held constant during differentiation and computed from the current
+    values, in the boxes' dtype.  An empty ``alpha_cache`` list keeps the
+    first call's alpha and later calls with that list reuse it, which is what
+    a finite-difference check must do to probe the same function the
+    backward pass differentiates.
+    """
+    if pred.shape != gt.shape or pred.shape[1] != 4:
+        raise ValueError(f"expected matching (N,4,P,1) boxes, got {pred.shape} and {gt.shape}")
     floor = scalar(MIN_EXTENT)
     px, py = _coord(pred, 0), _coord(pred, 1)
     pw, ph = maximum(_coord(pred, 2), floor), maximum(_coord(pred, 3), floor)
@@ -87,44 +98,18 @@ def _ciou_terms(pred: Tensor, gt: Tensor) -> tuple[Tensor, Tensor, Tensor, np.nd
     enc_w = maximum(px2, gx2) - minimum(px1, gx1)
     enc_h = maximum(py2, gy2) - minimum(py1, gy1)
     c2 = enc_w * enc_w + enc_h * enc_h
+    distance = rho2 / c2
 
     dtheta = atan(gw / gh) - atan(pw / ph)
     v = dtheta * dtheta * (4.0 / math.pi ** 2)
     alpha = v.data / ((1.0 - iou.data) + v.data + 1e-12)
-    return iou, rho2 / c2, v, alpha
+    if alpha_cache is not None:
+        if not alpha_cache:
+            alpha_cache.append(alpha)
+        alpha = alpha_cache[0]
 
-
-def ciou_loss(pred: Tensor, gt: Tensor, alpha_const: np.ndarray | None = None) -> Tensor:
-    """1 - CIoU per box; pred and gt are (N, 4, P, 1) center-format boxes.
-
-    Differentiable in pred; degenerate extents are clamped at
-    ``MIN_EXTENT``.  Returns shape (N, 1, P, 1).
-
-    The aspect term's trade-off coefficient is held constant during
-    differentiation.  By default it is recomputed from the current values on
-    every call; passing ``alpha_const`` pins it, which is what a
-    finite-difference check must do to probe the same function the backward
-    pass differentiates.
-    """
-    if pred.shape != gt.shape or pred.shape[1] != 4:
-        raise ValueError(f"expected matching (N,4,P,1) boxes, got {pred.shape} and {gt.shape}")
-    iou, distance, v, alpha_now = _ciou_terms(pred, gt)
-    if alpha_const is None:
-        alpha_const = alpha_now
-    alpha = Tensor(np.broadcast_to(np.asarray(alpha_const, dtype=v.data.dtype), v.shape).copy())
-
-    ciou = iou - distance - alpha * v
+    ciou = iou - distance - Tensor(alpha) * v
     return 1.0 - ciou
-
-
-def ciou_alpha(pred_boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
-    """Current trade-off coefficient alpha = v / ((1 - IoU) + v), in float64.
-
-    Takes (N, 4, P, 1) center-format arrays; useful for pinning the
-    coefficient across finite-difference evaluations.
-    """
-    with using_dtype(np.float64):
-        return _ciou_terms(from_array(pred_boxes), from_array(gt_boxes))[3]
 
 
 # -- target assignment -------------------------------------------------------------
@@ -217,10 +202,9 @@ def detection_loss(maps: list[Tensor], gts: list[GroundTruth], config: ModelConf
     (cell, class) of every scale.  With zero positives the box term is zero;
     otherwise it is one graph per step, of one size whatever their number.
 
-    The input size is read off the stride-8 map.  An empty ``alpha_cache``
-    list pins the positives' CIoU trade-off coefficients, as one array, on
-    first use and reuses it afterwards — required when a finite-difference
-    check re-evaluates the loss, since the backward pass holds alpha constant.
+    The input size is read off the stride-8 map.  ``alpha_cache`` goes to
+    :func:`ciou_loss`, which pins the positives' CIoU trade-off coefficients
+    in it as one array.
     """
     batch = maps[0].shape[0]
     size = maps[0].shape[2] * STRIDES[0]
@@ -239,9 +223,7 @@ def detection_loss(maps: list[Tensor], gts: list[GroundTruth], config: ModelConf
     if len(positives):
         pred = cell_box(maps, positives)
         gt = Tensor(np.ascontiguousarray(positives.box.T, dtype=pred.dtype)[None, :, :, None])
-        if alpha_cache is not None and not alpha_cache:
-            alpha_cache.append(ciou_alpha(pred.data, gt.data))
-        box_term = tmean(ciou_loss(pred, gt, alpha_const=alpha_cache[0] if alpha_cache else None))
+        box_term = tmean(ciou_loss(pred, gt, alpha_cache))
     else:
         box_term = scalar(0.0)
 

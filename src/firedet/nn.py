@@ -18,10 +18,11 @@ Training is sensitive to the last bit, so these kernels are pinned byte for
 byte to reference forms in the tests.
 
 A MAC tally can be armed in the calling thread (see :func:`mac_counting`)
-to make conv/linear record one image's multiply-accumulate count per call,
-keyed by the weight tensor it used, while they compute as always — the
-analytic cost model and the executable graph share one definition this way,
-and a caller that knows the parameters' names can group the counts.
+to make conv/linear add one image's multiply-accumulate count per call to
+the weight tensor it used, in one dict from weight to MACs, while they
+compute as always — the analytic cost model and the executable graph share
+one definition this way, and a caller that knows the parameters' names can
+group the counts.
 BatchNorm, the one layer whose behaviour depends on a mode, is one
 normalization whose statistics come from the batch under :func:`train_mode`
 and from its running averages otherwise.  Both switches are
@@ -57,27 +58,23 @@ from .tensor import (
 _mac_tally = contextvars.ContextVar("mac_tally", default=None)
 
 
-def mac_counting(tally: dict):
-    """Arm MAC counting: conv/linear add one image's MACs per call to ``tally['macs']``.
+def mac_counting():
+    """Arm MAC counting; yields the tally, a dict from weight tensor to MACs.
 
-    The tally is armed for the calling thread only, and it only observes:
-    conv2d and linear compute and return exactly what they do unarmed.  Each
-    call counts one image, whatever its batch, so a forward over an empty
-    batch yields exact per-image totals while doing no arithmetic.  Each
-    call's MACs are also added to ``tally['by_weight']`` under the weight
-    tensor it used, so per-layer groups follow from the parameters' names
-    (see :func:`firedet.profiler.count_macs`).
+    Each conv2d or linear call adds one image's multiply-accumulates under
+    the weight tensor it used, whatever its batch, so a forward over an empty
+    batch yields exact per-image counts while doing no arithmetic; the total
+    is the sum of the values, and per-layer groups follow from the
+    parameters' names (see :func:`firedet.profiler.count_macs`).  The tally
+    is armed for the calling thread only, and it only observes: conv2d and
+    linear compute and return exactly what they do unarmed.
     """
-    tally.setdefault("macs", 0)
-    tally.setdefault("by_weight", {})
-    return switched(_mac_tally, tally)
+    return switched(_mac_tally, {})
 
 
 def _add_macs(weight: Tensor, count: int) -> None:
     tally = _mac_tally.get()
-    tally["macs"] += count
-    by_weight = tally["by_weight"]
-    by_weight[weight] = by_weight.get(weight, 0) + count
+    tally[weight] = tally.get(weight, 0) + count
 
 
 # -- module system -----------------------------------------------------------------
@@ -144,18 +141,14 @@ class ModuleList(Module):
 
     def __init__(self, modules: list[Module]):
         super().__init__()
-        self._items = list(modules)
-        for i, m in enumerate(self._items):
+        for i, m in enumerate(modules):
             self._children[str(i)] = m
 
     def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
+        return iter(self._children.values())
 
     def __getitem__(self, i: int) -> Module:
-        return self._items[i]
+        return self._children[str(i)]
 
 
 # -- convolution ----------------------------------------------------------------------

@@ -8,11 +8,12 @@ k^2 * (Cin/groups) * Cout * Hout * Wout, affine maps contribute Cin * Cout,
 and normalization/activations/pooling count as zero (dominant-term
 convention).  GFLOPs = 2 * MACs / 1e9.  The tally is armed for the calling
 thread only, so forward passes in other threads are not counted.
-Both counts are grouped the same way: the tally keys MACs by the weight
-tensor that incurred them, and every parameter belongs to the group named by
-the first two parts of its dotted name (``backbone.stages``, ``heads.0``).
-Sizes are exact serialized archive lengths at 32- and 16-bit element
-precision.
+Both counts are grouped the same way: the tally is one dict from the weight
+tensor that incurred MACs to their count, every parameter belongs to the
+group named by the first two parts of its dotted name (``backbone.stages``,
+``heads.0``), and each total is the sum of its groups.  Sizes are the
+lengths of the archives :func:`firedet.weights.save_weights` writes at 32-
+and 16-bit element precision.
 """
 
 from __future__ import annotations
@@ -82,20 +83,14 @@ def count_macs(model: Model, input_size: int | None = None) -> tuple[dict[str, i
     """Per-group and total MACs for a single image at the given input size, counted on an
     empty batch in infer mode (train-mode BatchNorm would average over no samples)."""
     size = model.config.resolve_input_size(input_size)
-    tally: dict = {}
-    with no_grad(), mac_counting(tally):
+    with no_grad(), mac_counting() as tally:
         model(zeros((0, 3, size, size)))
     group_of = {p: key for key, p in _grouped_parameters(model)}
     groups: dict[str, int] = {}
-    for weight, macs in tally["by_weight"].items():
+    for weight, macs in tally.items():
         key = group_of[weight]
         groups[key] = groups.get(key, 0) + macs
-    return groups, tally["macs"]
-
-
-def size_bytes(model: Model, precision: str) -> int:
-    """Exact serialized archive length at the given element precision."""
-    return len(save_weights(model, precision))
+    return groups, sum(groups.values())
 
 
 def profile(model: Model, input_size: int | None = None) -> ProfileReport:
@@ -109,8 +104,8 @@ def profile(model: Model, input_size: int | None = None) -> ProfileReport:
         rows=rows,
         total_params=total_params,
         total_macs=total_macs,
-        size_f32=size_bytes(model, "f32"),
-        size_f16=size_bytes(model, "f16"),
+        size_f32=len(save_weights(model, "f32")),
+        size_f16=len(save_weights(model, "f16")),
         input_size=size,
     )
 

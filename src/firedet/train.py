@@ -165,18 +165,21 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
     The one inference path (``firedet infer`` too).  Each image's kept boxes
     are mapped back into its source's normalized coordinates through ``infos``
     in one array pass, and those lying wholly in the letterbox padding (zero
-    width or height) dropped; only the records left are made in Python."""
-    with no_grad():
-        maps = model(from_array(batch))
-    records = []
-    for bi, name in enumerate(image_names):
-        dets = nms(decode(maps, config, score_threshold=score_threshold,
-                          batch_index=bi),
-                   config.nms_iou_threshold)
-        boxes = unletterbox_box(dets.box, infos[bi])
-        shown = (boxes[:, 2] > 0.0) & (boxes[:, 3] > 0.0)
-        records += [DetRecord(name, c, s, tuple(b)) for c, s, b in zip(
-            dets.class_id[shown].tolist(), dets.score[shown].tolist(), boxes[shown].tolist())]
+    width or height) dropped; only the records left are made in Python.
+    Arithmetic that overflows, divides by zero or makes an invalid value
+    raises ``FloatingPointError`` instead of yielding no detections."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with no_grad():
+            maps = model(from_array(batch))
+        records = []
+        for bi, name in enumerate(image_names):
+            dets = nms(decode(maps, config, score_threshold=score_threshold,
+                              batch_index=bi),
+                       config.nms_iou_threshold)
+            boxes = unletterbox_box(dets.box, infos[bi])
+            shown = (boxes[:, 2] > 0.0) & (boxes[:, 3] > 0.0)
+            records += [DetRecord(name, c, s, tuple(b)) for c, s, b in zip(
+                dets.class_id[shown].tolist(), dets.score[shown].tolist(), boxes[shown].tolist())]
     return records
 
 

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from firedet.attention import gate_hidden
 from firedet.boxes import cxcywh_to_xyxy, iou_xyxy
-from firedet.losses import MIN_EXTENT, ciou_alpha, ciou_loss
+from firedet.losses import MIN_EXTENT, ciou_loss
 from firedet.model import CANDIDATE, STRIDES
 from firedet.nn import BN_EPS, BN_MOMENTUM, concat_channels
 from firedet.tensor import Tensor, scalar, slice4, softplus, tmean
@@ -325,8 +325,9 @@ def cell_box_ref(raw: Tensor, batch: int, i: int, j: int, stride: int,
 def box_term_ref(maps: list[Tensor], positives, alpha_cache: dict | None = None) -> Tensor:
     """The detection loss's box term one positive at a time: a scalar
     :func:`cell_box_ref` and a (1, 4, 1, 1) ``ciou_loss`` per positive, joined
-    with ``concat_channels`` and averaged; ``alpha_cache`` pins alpha per
-    positive index.  Zero positives give a constant 0."""
+    with ``concat_channels`` and averaged; ``alpha_cache`` maps each positive
+    index to its own ``ciou_loss`` cache list, pinning alpha per positive.
+    Zero positives give a constant 0."""
     if not len(positives):
         return scalar(0.0)
     losses = []
@@ -336,12 +337,8 @@ def box_term_ref(maps: list[Tensor], positives, alpha_cache: dict | None = None)
         pred = cell_box_ref(raw, int(pos.image_index), int(pos.row), int(pos.col), stride,
                             raw.shape[3] * stride, raw.shape[2] * stride)
         gt = Tensor(np.asarray(pos.box, dtype=pred.data.dtype).reshape(1, 4, 1, 1))
-        alpha = None
-        if alpha_cache is not None:
-            if k not in alpha_cache:
-                alpha_cache[k] = ciou_alpha(pred.data, gt.data)
-            alpha = alpha_cache[k]
-        losses.append(ciou_loss(pred, gt, alpha_const=alpha))
+        cache = None if alpha_cache is None else alpha_cache.setdefault(k, [])
+        losses.append(ciou_loss(pred, gt, cache))
     return tmean(concat_channels(losses))
 
 

@@ -348,6 +348,29 @@ def test_infer_exit_codes(tmp_path, config_path, dataset_dir):
     assert main(["infer", image, "--config", config_path, "--weights", str(huge)]) == EXIT_IO
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_infer_whose_forward_overflows_exits_check_with_one_error_line(
+        tmp_path, dataset_dir, capsys, threads):
+    # Every parameter times 1e18 is still a finite archive, so load_weights
+    # takes it, but the forward overflows.  That is one error line and exit 4,
+    # with no --out file, not NumPy warnings and an empty detection list.
+    config = str(REPO / "configs" / "toy.json")
+    model = build(load_config(config), Rng(0))
+    for p in model.parameters():
+        p.data *= 1e18
+    weights = tmp_path / "big.bin"
+    weights.write_bytes(save_weights(model))
+    out = tmp_path / "dets.jsonl"
+    code = main(["infer", str(dataset_dir / "000.ppm"), str(dataset_dir / "001.ppm"),
+                 "--config", config, "--weights", str(weights), "--score-threshold", "0.001",
+                 "--threads", threads, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CHECK
+    assert captured.err.startswith("error: detection arithmetic failed: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_infer_with_weights_draws_nothing_and_ignores_the_seed(
         tmp_path, config_path, dataset_dir, monkeypatch):
     weights = tmp_path / "weights.bin"

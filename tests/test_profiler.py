@@ -15,7 +15,7 @@ from firedet.fileio import load_config
 from firedet.model import ModelConfig, build
 from firedet.nn import Conv2dSpec, conv2d, linear, mac_counting
 from firedet.profiler import (VARIANTS, ablation_report, count_macs,
-                              count_params, profile, size_bytes, variant_config)
+                              count_params, profile, variant_config)
 from firedet.rng import Rng
 from firedet.tensor import from_array, no_grad, zeros
 from firedet.weights import load_records, model_records, save_weights
@@ -36,10 +36,11 @@ def test_count_params_matches_archive_parameter_records():
     assert total < sum(arr.size for _, arr in records)  # running stats excluded
 
 
-def test_size_bytes_is_exact_archive_length():
+def test_profile_sizes_are_exact_archive_lengths():
     model = build(CFG, Rng(0))
-    assert size_bytes(model, "f32") == len(save_weights(model, precision="f32"))
-    assert size_bytes(model, "f16") == len(save_weights(model, precision="f16"))
+    report = profile(model)
+    assert report.size_f32 == len(save_weights(model, precision="f32"))
+    assert report.size_f16 == len(save_weights(model, precision="f16"))
 
 
 def test_single_convolution_mac_formula():
@@ -49,12 +50,10 @@ def test_single_convolution_mac_formula():
                       has_bias=False)
     w = from_array(np.zeros((6, 4, 3, 3), dtype=np.float32))
     x = from_array(np.zeros((1, 4, 10, 12), dtype=np.float32))
-    tally = {}
-    with mac_counting(tally):
+    with mac_counting() as tally:
         out = conv2d(x, spec, w)
     assert out.shape == (1, 6, 10, 12)
-    assert tally["macs"] == 9 * 4 * 6 * 10 * 12
-    assert tally["by_weight"] == {w: tally["macs"]}
+    assert tally == {w: 9 * 4 * 6 * 10 * 12}
 
 
 def test_mac_tally_counts_one_image_per_call_and_changes_no_output():
@@ -68,8 +67,7 @@ def test_mac_tally_counts_one_image_per_call_and_changes_no_output():
     for n in (0, 1, 2):
         xc = from_array(rng.standard_normal((n, 4, 8, 8)).astype(np.float32))
         xl = from_array(rng.standard_normal((n, 4, 1, 1)).astype(np.float32))
-        tally = {}
-        with mac_counting(tally):
+        with mac_counting() as tally:
             armed = conv2d(xc, spec, wc), linear(xl, wl)
         plain = conv2d(xc, spec, wc), linear(xl, wl)
         for a, b in zip(armed, plain):
@@ -77,9 +75,9 @@ def test_mac_tally_counts_one_image_per_call_and_changes_no_output():
             assert a.data.tobytes() == b.data.tobytes()
         assert [a.shape for a in armed] == [(n, 6, 8, 8), (n, 6, 1, 1)]
         by_batch[n] = tally
-    assert by_batch[1]["by_weight"] == {wc: 9 * 4 * 6 * 8 * 8, wl: 4 * 6}
+    assert by_batch[1] == {wc: 9 * 4 * 6 * 8 * 8, wl: 4 * 6}
     assert by_batch[0] == by_batch[1] == by_batch[2]
-    assert by_batch[1]["macs"] == 9 * 4 * 6 * 8 * 8 + 4 * 6
+    assert sum(by_batch[1].values()) == 9 * 4 * 6 * 8 * 8 + 4 * 6
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -133,12 +131,11 @@ def test_traced_forward_macs_match_count_macs_and_batch_tally(tmp_path):
             with no_grad():
                 model(x)
             tr.on = False
-            tally = {}
-            with no_grad(), mac_counting(tally):
+            with no_grad(), mac_counting() as tally:
                 model(x)
             [(info, traced)] = tracer.forward_macs(tr)
             linear_spans = sum(span[0] == "nn.linear" for span in tr.spans)
-            print(info["shape"][0], traced, count_macs(model, 64)[1], tally["macs"], linear_spans)
+            print(info["shape"][0], traced, count_macs(model, 64)[1], sum(tally.values()), linear_spans)
 
         model = build(config, Rng(0))
         tr.spans.clear()
@@ -254,10 +251,9 @@ def test_grouped_convolution_divides_mac_cost():
                       groups=8, has_bias=False)
     w = from_array(np.zeros((8, 1, 3, 3), dtype=np.float32))
     x = from_array(np.zeros((1, 8, 5, 5), dtype=np.float32))
-    tally = {}
-    with mac_counting(tally):
+    with mac_counting() as tally:
         conv2d(x, spec, w)
-    assert tally["macs"] == 9 * 1 * 8 * 5 * 5
+    assert tally == {w: 9 * 1 * 8 * 5 * 5}
 
 
 def test_conv_macs_scale_quadratically_with_input_size():
@@ -302,7 +298,7 @@ def test_profile_report_consistency():
     # (ModuleList children are called, the list itself never is) and no "(unscoped)".
     assert set(count_macs(model, 64)[0]) <= set(count_params(model)[0])
     assert report.gflops == 2.0 * report.total_macs / 1e9
-    assert report.size_f32 == size_bytes(model, "f32")
+    assert report.size_f32 == len(save_weights(model, "f32"))
     text = report.format_text()
     assert "total" in text and "GFLOPs" in text
 

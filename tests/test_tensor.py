@@ -143,17 +143,18 @@ def test_dtype_and_mac_modes_are_per_thread(mode):
     # While one thread holds the mode open, another thread keeps the defaults:
     # float32 tensors, convolutions that count nothing and BatchNorm on
     # running statistics.  MAC counting changes no output, only the tally.
-    tally = {}
+    held = []  # what each mode yields; mac_counting yields its tally
     enter, inside_view = {
         "using_dtype": (lambda: using_dtype(np.float64), (np.float64, 4.0, 4.0)),
-        "mac_counting": (lambda: mac_counting(tally), (np.float32, 4.0, 4.0)),
+        "mac_counting": (mac_counting, (np.float32, 4.0, 4.0)),
         "train_mode": (train_mode, (np.float32, 4.0, 0.0)),
     }[mode]
     entered, probed = threading.Event(), threading.Event()
     seen = []
 
     def hold():
-        with enter():
+        with enter() as value:
+            held.append(value)
             entered.set()
             probed.wait(timeout=10)
             seen.append(_probe_modes())
@@ -170,7 +171,7 @@ def test_dtype_and_mac_modes_are_per_thread(mode):
     assert outside_view == (np.float32, 4.0, 4.0)
     assert seen == [inside_view]
     if mode == "mac_counting":  # the held thread's conv only
-        assert tally["macs"] == 4 and list(tally["by_weight"].values()) == [4]
+        assert [list(tally.values()) for tally in held] == [[4]]
     assert _probe_modes() == (np.float32, 4.0, 4.0)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,22 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
             "from tracer import Tracer, install; install(Tracer())")
     run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_package_runs_as_a_program():
+    # ``python -m firedet`` starts through ``__main__.py``: help lists the
+    # six verbs and exits 0; argparse rejects an unknown verb or scope with 2.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "firedet", *args], cwd=REPO, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0, shown.stderr
+    assert "{infer,profile,gradcheck,eval,synth,train-toy}" in shown.stdout
+    unknown = run("detect")
+    assert unknown.returncode == 2 and "invalid choice: 'detect'" in unknown.stderr
+    scope = run("gradcheck", "--scope", "nope")
+    assert scope.returncode == 2 and "invalid choice: 'nope'" in scope.stderr
