@@ -12,26 +12,28 @@ alpha = sigmoid(alpha_raw).  ``CspBlock`` (split-transform-merge bottleneck
 stack) and ``Sppf`` (spatial pyramid pooling, fast) complete the baseline
 skeleton the ablations are measured against.  Closed-form parameter counts
 of the novel blocks live with the test oracles, which check the modules
-against them.
+against them.  For inference only, :func:`fold_batchnorm` folds each
+``ConvBn``'s BatchNorm into its convolution (Jacob et al., CVPR 2018).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .rng import Rng
 from .tensor import Parameter, Tensor, default_dtype, sigmoid, slice4
-from .nn import BatchNorm, Conv2d, Conv2dSpec, Module, ModuleList, PartialConv, concat_channels, pool2d
+from .nn import BN_EPS, BatchNorm, Conv2d, Conv2dSpec, Module, ModuleList, PartialConv, concat_channels, pool2d
 from .attention import CasAttention, ChannelCalibrate, SpatialCalibrate
 
 
 class ConvBn(Module):
     """Conv followed by BatchNorm with no activation (restore/projection layers).
 
-    The convolution is bias-free (BN absorbs it) and padded by kernel // 2,
-    so at stride 1 the output keeps the input's height and width.
+    The convolution is bias-free (BN absorbs it, literally after the inference-only
+    :func:`fold_batchnorm`) and padded by kernel // 2: at stride 1 it keeps H and W.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int, rng: Rng,
@@ -42,7 +44,7 @@ class ConvBn(Module):
         self.bn = BatchNorm(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(x))
+        return self.conv(x) if self.bn is None else self.bn(self.conv(x))
 
 
 class Cbs(ConvBn):
@@ -174,3 +176,16 @@ class Sppf(Module):
         y2 = pool2d(y1, "max", kernel=5, stride=1, padding=2)
         y3 = pool2d(y2, "max", kernel=5, stride=1, padding=2)
         return self.cv2(concat_channels([y0, y1, y2, y3]))
+
+
+def fold_batchnorm(model: Module) -> None:
+    """Fold each ``ConvBn``'s infer-mode BatchNorm into its conv, in place in the model dtype,
+    and drop it.  For inference only; raises ``FloatingPointError`` like ``detect_batch``."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for unit in [m for _, m in model.named_modules() if isinstance(m, ConvBn)]:
+            scale = unit.bn.gamma.data / np.sqrt(unit.bn.running_var + BN_EPS)
+            unit.conv.weight.data *= scale.reshape(-1, 1, 1, 1)
+            unit.conv.spec = replace(unit.conv.spec, has_bias=True)
+            unit.conv.bias = Parameter(unit.bn.beta.data - unit.bn.running_mean * scale)
+            del unit._children["bn"]
+            unit.bn = None

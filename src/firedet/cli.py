@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import checks
+from .blocks import fold_batchnorm
 from .fileio import (FileFormatError, format_detection, image_to_input, letterbox,
                      load_config, read_detections, read_ground_truth, read_ppm)
 from .metrics import DetRecord, map_range
@@ -62,6 +63,7 @@ def _infer_one(model: Model, config: ModelConfig, path: str,
 
 
 def cmd_infer(args) -> int:
+    """Detect on each image, BatchNorm folded into the convs once before the thread pool."""
     if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
     repeated = sorted(n for n, k in Counter(Path(p).name for p in args.images).items() if k > 1)
@@ -69,6 +71,7 @@ def cmd_infer(args) -> int:
         raise ConfigError(f"images must have distinct file names, repeated: {', '.join(repeated)}")
     config = load_config(args.config)
     model = _load_model(args, config)
+    fold_batchnorm(model)
     worker = lambda p: _infer_one(model, config, p, args.score_threshold)
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -257,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except FloatingPointError as exc:  # from detect_batch: the weights overflow the forward
+    except FloatingPointError as exc:  # the weights overflow the fold or the forward
         print(f"error: detection arithmetic failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
 

@@ -218,7 +218,7 @@ def letterbox(image: np.ndarray, dst_size: int) -> tuple[np.ndarray, LetterboxIn
     new_h = max(1, int(round(h * scale)))
     cols = np.minimum((np.arange(new_w) + 0.5) / scale, w - 1).astype(np.int64)
     rows = np.minimum((np.arange(new_h) + 0.5) / scale, h - 1).astype(np.int64)
-    resized = image[rows][:, cols]
+    resized = image.take(rows, axis=0).take(cols, axis=1)
     out = np.full((dst_size, dst_size, 3), PAD_VALUE, dtype=np.uint8)
     pad_x = (dst_size - new_w) // 2
     pad_y = (dst_size - new_h) // 2
@@ -254,4 +254,4 @@ def unletterbox_box(boxes: np.ndarray, info: LetterboxInfo) -> np.ndarray:
 def image_to_input(image: np.ndarray) -> np.ndarray:
     """(H, W, 3) uint8 -> (1, 3, H, W) float32 in [0, 1], the model's input.  For each of
     the 256 byte values the float32 quotient equals the float64 one rounded to float32."""
-    return (image.astype(np.float32) / 255.0).transpose(2, 0, 1)[None]
+    return np.divide(image, np.float32(255.0), dtype=np.float32).transpose(2, 0, 1)[None]

@@ -257,7 +257,7 @@ def conv2d(x: Tensor, spec: Conv2dSpec, weight: Tensor, bias: Tensor | None = No
     cols = wing.transpose(1, 2, 5, 6, 0, 3, 4).reshape(g, cig * k * k, n * ho * wo)
     out = np.matmul(wg, cols).reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
-        out = out + bias.data
+        out += bias.data  # into the fresh GEMM output, whose layout it keeps
 
     parents = [x, weight] if bias is None else [x, weight, bias]
 

@@ -240,12 +240,13 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
     With ``z = exp(-|x|)`` it is ``1 / (z + 1)`` for ``x >= 0`` and
     ``z / (z + 1)`` otherwise, so ``exp`` never overflows; one division
-    serves both signs.
+    serves both signs.  As z lies in [0, 1], the numerator ``max(z, x >= 0)`` is 1
+    where x >= 0 and z (a NaN too) elsewhere, with no per-element branch to mispredict.
     """
     z = np.abs(x)
     np.negative(z, out=z)
     np.exp(z, out=z)
-    num = np.where(x >= 0, 1.0, z)
+    num = np.maximum(z, x >= 0)
     z += 1.0
     num /= z
     return num

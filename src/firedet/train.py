@@ -162,10 +162,11 @@ def detect_batch(model: Model, config: ModelConfig, batch: np.ndarray,
                  score_threshold: float | None) -> list[DetRecord]:
     """Eval-mode forward + decode + per-image NMS over a stacked batch.
 
-    The one inference path (``firedet infer`` too).  Each image's kept boxes
-    are mapped back into its source's normalized coordinates through ``infos``
-    in one array pass, and those lying wholly in the letterbox padding (zero
-    width or height) dropped; only the records left are made in Python.
+    The one inference path: ``firedet infer`` runs it with BatchNorm folded into the
+    convs (:func:`firedet.blocks.fold_batchnorm`), ``train-toy``'s evaluation unfolded.
+    Each image's kept boxes are mapped back into its source's normalized coordinates
+    through ``infos`` in one array pass, and those lying wholly in the letterbox
+    padding (zero width or height) dropped; only the records left are made in Python.
     Arithmetic that overflows, divides by zero or makes an invalid value
     raises ``FloatingPointError`` instead of yielding no detections."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):

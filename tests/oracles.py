@@ -515,6 +515,23 @@ def image_to_input_ref(image: np.ndarray) -> np.ndarray:
     return (image.astype(np.float64) / 255.0).transpose(2, 0, 1)[None]
 
 
+def letterbox_ref(image: np.ndarray, dst_size: int) -> np.ndarray:
+    """Nearest-neighbour letterbox, one pixel at a time: content pixel (i, j) reads
+    source row ``min(int((i + 0.5) / scale), h - 1)`` and column likewise, the
+    content is centred, and the border is gray 114."""
+    h, w = image.shape[:2]
+    scale = min(dst_size / w, dst_size / h)
+    new_w, new_h = max(1, int(round(w * scale))), max(1, int(round(h * scale)))
+    pad_x, pad_y = (dst_size - new_w) // 2, (dst_size - new_h) // 2
+    src = image.tolist()
+    out = [[[114, 114, 114] for _ in range(dst_size)] for _ in range(dst_size)]
+    for i in range(new_h):
+        row = src[min(int((i + 0.5) / scale), h - 1)]
+        for j in range(new_w):
+            out[pad_y + i][pad_x + j] = row[min(int((j + 0.5) / scale), w - 1)]
+    return np.array(out, dtype=np.uint8)
+
+
 def letterbox_box_ref(box, info) -> tuple[float, float, float, float]:
     """The unclamped letterbox mapping ``(v * src * scale + pad) / dst_size``."""
     cx, cy, w, h = box

@@ -313,13 +313,64 @@ def test_window_view_is_read_only_and_padding_matches_np_pad():
     assert win.shape == (2, 3, 3, 3, 3, 3) and not win.flags.writeable
 
 
+BITS_OF = {np.float32: np.uint32, np.float64: np.uint64}
+
+
+def _bit_patterns(dtype, n: int) -> np.ndarray:
+    """``n`` values of ``dtype`` with uniformly drawn bits, the first eighth with the
+    exponent field all ones: every exponent, subnormals, and NaNs of many payloads,
+    quiet and signalling, of both signs."""
+    uint = BITS_OF[dtype]
+    bits = Rng(31)._block(n * np.dtype(dtype).itemsize // 8).view(uint)
+    bits[:n // 8] |= np.array(np.inf, dtype=dtype).view(uint)
+    return bits.view(dtype)
+
+
+def _raised(f, a: np.ndarray) -> str | None:
+    try:
+        with np.errstate(all="raise"):
+            f(a)
+    except FloatingPointError as exc:
+        return str(exc)
+    return None
+
+
+SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 100.0, -100.0, 800.0, -800.0, np.nan,
+                    1e-30, -1e-30, 16.0, -16.0, 88.7, -88.7, 709.0, -709.0]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_matches_two_branch_reference(dtype):
-    special = np.array([0.0, -0.0, np.inf, -np.inf, 100.0, -100.0, 800.0, -800.0, np.nan,
-                        1e-30, -1e-30, 16.0, -16.0, 88.7, -88.7, 709.0, -709.0], dtype=dtype)
-    x = np.concatenate([special, Rng(8).uniform64(4096, -40.0, 40.0).astype(dtype)])
-    for a in (x, x.reshape(1, 1, 1, -1)[..., ::3]):
-        got = _sigmoid_np(a)
-        want = where_sigmoid(a)
-        assert got.dtype == want.dtype == dtype
-        assert got.tobytes() == want.tobytes()
+    special = np.array(SIGMOID_SPECIALS, dtype=dtype)
+    patterns = _bit_patterns(dtype, 1 << 17)
+    info = np.finfo(dtype)
+    uint = BITS_OF[dtype]
+    exponent = (patterns.view(uint) >> uint(info.nmant)) & uint((1 << info.nexp) - 1)
+    assert np.unique(exponent).size == 1 << info.nexp
+    assert np.count_nonzero(np.abs(patterns) < info.smallest_normal) > 10
+    assert np.unique(patterns[np.isnan(patterns)].view(uint)).size > 1000
+    x = np.concatenate([special, Rng(8).uniform64(4096, -40.0, 40.0).astype(dtype), patterns])
+    with np.errstate(under="ignore", invalid="ignore"):  # signalling NaNs, exp(-|x|) -> 0
+        for a in (x, x.reshape(1, 1, 1, -1)[..., ::3]):
+            got = _sigmoid_np(a)
+            want = where_sigmoid(a)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_raises_where_the_reference_raises(dtype):
+    # detect_batch runs under a raising errstate, so the sigmoid must fail
+    # (underflow, a signalling NaN) on exactly the reference's inputs.
+    uint = BITS_OF[dtype]
+    signalling = np.array([np.inf], dtype=dtype).view(uint) | uint(1)
+    x = np.concatenate([np.array(SIGMOID_SPECIALS, dtype=dtype), signalling.view(dtype),
+                        _bit_patterns(dtype, 1 << 13)])
+    seen = set()
+    for v in x:
+        got = _raised(_sigmoid_np, np.array([v]))
+        assert got == _raised(where_sigmoid, np.array([v]))
+        seen.add(got)
+    # float32's exp also reports a signalling NaN as invalid; float64's does not.
+    assert {None, "underflow encountered in exp"} <= seen
+    assert _raised(_sigmoid_np, x) == _raised(where_sigmoid, x) is not None

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from firedet.weights import (MAGIC, VERSION, load_records, load_weights, model_r
                              save_records, save_weights)
 
 from oracles import (format_detection_ref, format_ground_truth_ref, image_to_input_ref,
-                     letterbox_box_ref, unletterbox_box_ref)
+                     letterbox_box_ref, letterbox_ref, unletterbox_box_ref)
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILE_GOLDEN = Path(__file__).resolve().parent / "data" / "profile"
@@ -64,6 +67,16 @@ def test_letterbox_downscales_wide_image():
     assert boxed.shape == (64, 64, 3)
     assert info.scale == 64 / 400
     assert info.pad_x == 0 and info.pad_y == (64 - 16) // 2
+
+
+@pytest.mark.parametrize("src_h, src_w", [(1, 1), (90, 700), (517, 333), (480, 640)])
+@pytest.mark.parametrize("dst_size", [32, 64, 256, 640])
+def test_letterbox_pixels_match_nested_loop_reference(src_h, src_w, dst_size):
+    # Up-, down- and unit scales, both orientations, odd and rounding extents.
+    image = (np.asarray(Rng(src_h * 1000 + src_w).uniform64(src_h * src_w * 3)) * 256) \
+        .astype(np.uint8).reshape(src_h, src_w, 3)
+    boxed, _ = letterbox(image, dst_size)
+    assert boxed.dtype == np.uint8 and boxed.tobytes() == letterbox_ref(image, dst_size).tobytes()
 
 
 def test_letterbox_box_round_trip():
@@ -368,6 +381,32 @@ def test_infer_whose_forward_overflows_exits_check_with_one_error_line(
     assert code == EXIT_CHECK
     assert captured.err.startswith("error: detection arithmetic failed: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_infer_whose_batchnorm_fold_overflows_exits_check_with_one_error_line(
+        tmp_path, dataset_dir):
+    # The stem's BatchNorm scale 1e30 / sqrt(0 + BN_EPS) times its conv weight
+    # 1e7 overflows float32, in the fold as in an unfolded forward.  In a real
+    # process a NumPy warning would print its own lines, where this suite's
+    # warning filter would turn it into an exception instead.
+    config = str(REPO / "configs" / "toy.json")
+    model = build(load_config(config), Rng(0))
+    stem = model.backbone.stem
+    stem.bn.gamma.data[...] = 1e30
+    stem.bn.running_var[...] = 0.0
+    stem.conv.weight.data[...] = 1e7
+    weights = tmp_path / "stem.bin"
+    weights.write_bytes(save_weights(model))
+    out = tmp_path / "dets.jsonl"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "firedet", "infer", str(dataset_dir / "000.ppm"),
+                           "--config", config, "--weights", str(weights), "--out", str(out)],
+                          cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CHECK
+    assert proc.stderr.startswith("error: detection arithmetic failed: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert not out.exists()
 
 

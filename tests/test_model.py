@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from firedet import model as model_module
+from firedet.blocks import ConvBn, fold_batchnorm
 from firedet.fileio import load_config
 from firedet.losses import POSITIVE
 from firedet.model import (ConfigError, Model, ModelConfig, STRIDES, build, cell_box, decode,
                            nms)
+from firedet.nn import BatchNorm
 from firedet.profiler import VARIANTS, variant_config
 from firedet.rng import Rng
 from firedet.tensor import _sigmoid_np, from_array, no_grad, using_dtype
@@ -92,6 +94,33 @@ def test_forward_batch_matches_single_image_forward():
         single = model(from_array(x_np[b:b + 1]))
         for mb, ms in zip(batched, single):
             assert np.abs(mb.data[b] - ms.data[0]).max() < 1e-6
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batchnorm_fold_is_exact_algebra_in_float64(variant):
+    # Folding turns gamma * (conv - mean) / sqrt(var + eps) + beta into
+    # (weight * scale) conv + (beta - mean * scale), the same function, so in
+    # float64 the maps move by rounding alone: under 1e-14 of max|map| here.
+    # The bound, 1e-12, is ~4,500 float64 ulps; a wrong scale, sign or mean moves
+    # the maps by order one, and folding in float32 moves them by ~1e-6.
+    with using_dtype(np.float64):
+        model = build(variant_config(TOY, variant), Rng(3))
+        rng = Rng(11)
+        for _, bn in model.named_modules():
+            if isinstance(bn, BatchNorm):
+                for arr, lo, hi in ((bn.gamma.data, 0.5, 1.5), (bn.beta.data, -0.5, 0.5),
+                                    (bn.running_mean, -0.5, 0.5), (bn.running_var, 0.5, 2.0)):
+                    arr[...] = rng.uniform64(bn.channels, lo, hi).reshape(arr.shape)
+        x = from_array(rng.uniform64(2 * 3 * 64 * 64).reshape(2, 3, 64, 64))
+        with no_grad():
+            want = [m.data.copy() for m in model(x)]
+            fold_batchnorm(model)
+            got = [m.data for m in model(x)]
+    units = [m for _, m in model.named_modules() if isinstance(m, ConvBn)]
+    assert units and all(u.bn is None and u.conv.spec.has_bias for u in units)
+    assert not any(isinstance(m, BatchNorm) for _, m in model.named_modules())
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # -- decode ----------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from firedet.blocks import fold_batchnorm
 from firedet.cli import main
 from firedet.fileio import load_config
 from firedet.model import ModelConfig, build
@@ -244,6 +245,17 @@ def test_traced_node_count_matches_the_taped_graph(tmp_path):
     assert proc.returncode == 0, proc.stderr
     traced, taped = map(int, proc.stdout.split()[-2:])
     assert traced == taped > 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_folded_model_counts_the_macs_of_the_unfolded_one(variant):
+    # perfbench's trace mode checks the MACs of `infer`'s folded forwards against
+    # count_macs of an unfolded build: the fold adds and drops no conv.
+    config = variant_config(CFG, variant)
+    folded = build(config, Rng(0))
+    fold_batchnorm(folded)
+    assert count_macs(folded) == count_macs(build(config, Rng(0)))
+    assert all(p.data.dtype == np.float32 for p in folded.parameters())  # the model dtype
 
 
 def test_grouped_convolution_divides_mac_cost():
